@@ -6,6 +6,16 @@
 #include "src/common/logging.h"
 
 namespace nt {
+namespace {
+
+// Baseline-HS proposals carry raw transactions up to 500KB. Transactions are
+// gossiped to every peer in one message per interval and are proposable once
+// that gossip has had time to spread.
+constexpr uint64_t kMaxBlockBytes = 500 * 1000;
+constexpr TimeDelta kGossipInterval = Millis(50);
+constexpr TimeDelta kGossipDelay = Millis(200);
+
+}  // namespace
 
 // ------------------------------------------------------------- SharedTxPool
 
@@ -30,13 +40,7 @@ void SharedTxPool::Drain(TimePoint now, uint64_t max_bytes, HsPayload& payload) 
 
 // --------------------------------------------------------- BaselineProvider
 
-BaselineProvider::BaselineProvider(ValidatorId id, SharedTxPool* pool, uint64_t max_block_bytes,
-                                   TimeDelta gossip_interval, TimeDelta gossip_delay)
-    : id_(id),
-      pool_(pool),
-      max_block_bytes_(max_block_bytes),
-      gossip_interval_(gossip_interval),
-      gossip_delay_(gossip_delay) {}
+BaselineProvider::BaselineProvider(ValidatorId id, SharedTxPool* pool) : id_(id), pool_(pool) {}
 
 void BaselineProvider::OnStart() { FlushGossip(); }
 
@@ -47,7 +51,7 @@ void BaselineProvider::Submit(uint64_t num_txs, uint64_t payload_bytes,
   chunk.payload_bytes = payload_bytes;
   chunk.samples = std::move(samples);
   // The transaction is proposable once gossip has spread it.
-  chunk.available_at = network_->scheduler()->now() + gossip_delay_;
+  chunk.available_at = network_->scheduler()->now() + kGossipDelay;
   pool_->Submit(std::move(chunk));
   gossip_pending_txs_ += num_txs;
   gossip_pending_bytes_ += payload_bytes;
@@ -62,13 +66,13 @@ void BaselineProvider::FlushGossip() {
     gossip_pending_txs_ = 0;
     gossip_pending_bytes_ = 0;
   }
-  network_->scheduler()->ScheduleAfter(gossip_interval_, [this] { FlushGossip(); });
+  network_->scheduler()->ScheduleAfter(kGossipInterval, [this] { FlushGossip(); });
 }
 
 HsPayload BaselineProvider::GetPayload(View) {
   HsPayload payload;
   payload.kind = HsPayload::Kind::kTransactions;
-  pool_->Drain(network_->scheduler()->now(), max_block_bytes_, payload);
+  pool_->Drain(network_->scheduler()->now(), kMaxBlockBytes, payload);
   return payload;
 }
 

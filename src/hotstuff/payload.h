@@ -105,8 +105,7 @@ class SharedTxPool {
 
 class BaselineProvider : public PayloadProvider {
  public:
-  BaselineProvider(ValidatorId id, SharedTxPool* pool, uint64_t max_block_bytes,
-                   TimeDelta gossip_interval, TimeDelta gossip_delay);
+  BaselineProvider(ValidatorId id, SharedTxPool* pool);
 
   // Client transaction intake (collocated load generator).
   void Submit(uint64_t num_txs, uint64_t payload_bytes, std::vector<TxSample> samples);
@@ -122,9 +121,6 @@ class BaselineProvider : public PayloadProvider {
 
   ValidatorId id_;
   SharedTxPool* pool_;
-  uint64_t max_block_bytes_;
-  TimeDelta gossip_interval_;
-  TimeDelta gossip_delay_;
   uint64_t gossip_pending_txs_ = 0;
   uint64_t gossip_pending_bytes_ = 0;
 };

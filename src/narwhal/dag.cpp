@@ -63,24 +63,17 @@ const std::map<ValidatorId, Certificate>& Dag::CertsAt(Round round) const {
   return it == by_round_.end() ? kEmpty : it->second;
 }
 
-std::vector<Dag::Collected> Dag::GarbageCollect(Round new_gc_round) {
-  std::vector<Collected> collected;
+std::vector<Digest> Dag::GarbageCollect(Round new_gc_round) {
+  std::vector<Digest> collected;
   if (new_gc_round <= gc_round_) {
     return collected;
   }
   gc_round_ = new_gc_round;
   for (auto it = by_round_.begin(); it != by_round_.end() && it->first < gc_round_;) {
     for (const auto& [author, cert] : it->second) {
-      Collected record;
-      record.digest = cert.header_digest;
-      record.cert = cert;
-      auto header_it = headers_.find(cert.header_digest);
-      if (header_it != headers_.end()) {
-        record.header = std::move(header_it->second);
-        headers_.erase(header_it);
-      }
+      headers_.erase(cert.header_digest);
       by_digest_.erase(cert.header_digest);
-      collected.push_back(std::move(record));
+      collected.push_back(cert.header_digest);
     }
     it = by_round_.erase(it);
   }

@@ -42,17 +42,9 @@ class Dag {
 
   Round gc_round() const { return gc_round_; }
 
-  // A record evicted by garbage collection: everything a cold store (the
-  // paper's §3.3 CDN offload) needs to keep serving the block.
-  struct Collected {
-    Digest digest{};
-    Certificate cert;
-    std::shared_ptr<const BlockHeader> header;  // May be null if never synced.
-  };
-
   // Drops all certificates and headers with round < `new_gc_round`,
-  // returning the evicted records (re-injection + archival).
-  std::vector<Collected> GarbageCollect(Round new_gc_round);
+  // returning the evicted header digests (re-injection, store erases).
+  std::vector<Digest> GarbageCollect(Round new_gc_round);
 
   // --- traversal ---------------------------------------------------------------
 

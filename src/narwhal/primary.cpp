@@ -7,7 +7,6 @@
 #include "src/common/codec.h"
 #include "src/common/logging.h"
 #include "src/common/seeded_bugs.h"
-#include "src/narwhal/archive.h"
 #include "src/types/cert_cache.h"
 
 namespace nt {
@@ -738,16 +737,9 @@ void Primary::SetGcRound(Round gc_round) {
   // verification; release their verified-cache entries.
   cert_cache_.OnGcRound(gc_round);
   // Re-inject own batches whose headers fell below the horizon uncommitted
-  // (paper §3.3: transaction-level fairness), and offload evicted rounds to
-  // the cold archive if one is attached (§3.3: CDN offload).
-  std::vector<Dag::Collected> collected = dag_.GarbageCollect(gc_round);
-  std::set<Digest> collected_set;
-  for (const Dag::Collected& record : collected) {
-    collected_set.insert(record.digest);
-    if (archive_ != nullptr) {
-      archive_->Put(record);
-    }
-  }
+  // (paper §3.3: transaction-level fairness).
+  std::vector<Digest> collected = dag_.GarbageCollect(gc_round);
+  std::set<Digest> collected_set(collected.begin(), collected.end());
   // Advance the durable GC horizon and drop store records below it, keeping
   // the WAL bounded by the live DAG window. The meta record goes first:
   // recovery filters stale records against it even if the erases below
@@ -757,9 +749,9 @@ void Primary::SetGcRound(Round gc_round) {
     w.PutU8('M');
     w.PutU64(gc_round);
     store_->Put(MetaKey(), w.Take());
-    for (const Dag::Collected& record : collected) {
-      store_->Erase(HeaderKey(record.digest));
-      store_->Erase(CertKey(record.digest));
+    for (const Digest& digest : collected) {
+      store_->Erase(HeaderKey(digest));
+      store_->Erase(CertKey(digest));
     }
     for (auto it = voted_.begin(); it != voted_.end() && it->first < gc_round; ++it) {
       for (const auto& [author, digest] : it->second) {

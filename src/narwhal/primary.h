@@ -89,10 +89,6 @@ class Primary : public NetNode {
   // certificate's signers (no-op if already stored or already being pulled).
   void SyncHeader(const Digest& header_digest) { RequestHeader(header_digest); }
 
-  // Attaches a cold archive that receives rounds evicted by garbage
-  // collection (paper §3.3 offload). Optional; owned by the caller.
-  void set_archive(class Archive* archive) { archive_ = archive; }
-
   // Validates and stores a certificate learned out-of-band (e.g. from a
   // HotStuff proposal), pulling its header if missing. Returns false only
   // for invalid certificates.
@@ -215,7 +211,6 @@ class Primary : public NetNode {
 
   std::vector<std::function<void(const Certificate&)>> on_certificate_hooks_;
   std::vector<std::function<void(const Digest&)>> on_header_stored_hooks_;
-  class Archive* archive_ = nullptr;
 
   uint64_t headers_proposed_ = 0;
   uint64_t certs_formed_ = 0;

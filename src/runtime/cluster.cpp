@@ -5,6 +5,18 @@
 #include "src/common/logging.h"
 
 namespace nt {
+namespace {
+
+// Period of StartGaugeSampling's per-node gauge samples.
+constexpr TimeDelta kTraceGaugeInterval = Millis(100);
+
+// Batched-HS proposals carry up to 128 batch digests (4KB), larger than the
+// paper's 1KB consensus block (~32 digests). The cap is what throttles
+// Batched-HS catch-up after stalls, while a single Narwhal certificate
+// commits its entire causal history (§7.3).
+constexpr uint64_t kMaxDigestsPerBlock = 128;
+
+}  // namespace
 
 const char* SystemName(SystemKind kind) {
   switch (kind) {
@@ -220,10 +232,10 @@ void Cluster::RegisterTraceGauges() {
 }
 
 void Cluster::StartGaugeSampling(TimePoint until) {
-  if (tracer_ == nullptr || config_.trace_gauge_interval <= 0) {
+  if (tracer_ == nullptr) {
     return;
   }
-  scheduler_.ScheduleAfter(config_.trace_gauge_interval, [this, until] {
+  scheduler_.ScheduleAfter(kTraceGaugeInterval, [this, until] {
     TimePoint now = scheduler_.now();
     if (now >= until) {
       return;  // Bounded: no perpetual rescheduling past the horizon.
@@ -345,14 +357,12 @@ void Cluster::BuildHotStuff() {
 
     switch (config_.system) {
       case SystemKind::kBaselineHs:
-        providers_[v] = std::make_unique<BaselineProvider>(
-            v, shared_pool_.get(), config_.max_block_bytes, config_.gossip_interval,
-            config_.gossip_delay);
+        providers_[v] = std::make_unique<BaselineProvider>(v, shared_pool_.get());
         break;
       case SystemKind::kBatchedHs:
         providers_[v] = std::make_unique<BatchedProvider>(
             v, committee_, config_.narwhal.batch_size_bytes, config_.narwhal.max_batch_delay,
-            config_.max_digests_per_block, &directory_);
+            kMaxDigestsPerBlock, &directory_);
         break;
       case SystemKind::kNarwhalHs: {
         consensus_stores_[v] = MakeStore("consensus_" + std::to_string(v) + ".wal");

@@ -75,19 +75,8 @@ struct ClusterConfig {
 
   // Lifecycle tracing (src/common/trace.h): when set, the cluster owns a
   // Tracer, wires emit points through every node, and samples per-node
-  // gauges every trace_gauge_interval once StartGaugeSampling is called.
+  // gauges every 100ms once StartGaugeSampling is called.
   bool trace = false;
-  TimeDelta trace_gauge_interval = Millis(100);
-
-  // Baseline/batched parameters. Baseline proposals carry raw transactions
-  // up to 500KB. Batched proposals follow the paper's 1KB consensus block:
-  // ~32 batch digests per proposal — the bound that throttles Batched-HS
-  // catch-up after stalls, while a single Narwhal certificate commits its
-  // entire causal history (§7.3).
-  uint64_t max_block_bytes = 500 * 1000;
-  TimeDelta gossip_interval = Millis(50);
-  TimeDelta gossip_delay = Millis(200);
-  uint64_t max_digests_per_block = 128;
 };
 
 class Cluster {
@@ -164,9 +153,8 @@ class Cluster {
   // True if validator `v` is currently crashed (any of its nodes; a crash
   // takes the validator's machines down together).
   bool IsValidatorCrashed(ValidatorId v) const;
-  // Samples registered gauges every config.trace_gauge_interval until
-  // `until` (exclusive). No-op without a tracer. Bounded so RunUntilIdle
-  // style tests terminate.
+  // Samples registered gauges every 100ms until `until` (exclusive). No-op
+  // without a tracer. Bounded so RunUntilIdle style tests terminate.
   void StartGaugeSampling(TimePoint until);
 
   // Periodically retries executors whose committed headers still wait for

@@ -5,7 +5,7 @@
 // delivery used to re-verify 2f+1 signatures. Caching by content digest
 // makes every route after the first free.
 //
-// Each protocol node (Primary, HotStuff, LightClient) owns its own instance:
+// Each protocol node (Primary, HotStuff) owns its own instance:
 // the simulator runs every validator in one process, and a shared cache
 // would let validator i skip verification because validator j already did it
 // — work no real deployment could share. The static Narwhal()/HotStuff()

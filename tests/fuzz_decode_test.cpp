@@ -6,7 +6,6 @@
 
 #include "src/common/rng.h"
 #include "src/exec/state_machine.h"
-#include "src/narwhal/light_client.h"
 #include "src/types/types.h"
 
 namespace nt {
@@ -36,10 +35,6 @@ TEST(FuzzDecodeTest, RandomGarbageNeverCrashes) {
     DecodeGarbage<Certificate>(garbage);
     DecodeGarbage<BlockHeader>(garbage);
     DecodeGarbage<Vote>(garbage);
-    {
-      Reader r(garbage);
-      (void)InclusionProof::Decode(r);
-    }
     (void)ExecTx::Decode(garbage);
   }
 }

@@ -27,7 +27,10 @@
 //   --zipf THETA      zipf skew for account selection (default 0 = uniform)
 //   --hot-ratio R     chance a transfer debits the lane's hottest account
 //   --real-crypto     RFC 8032 Ed25519 signatures (default: FastSigner)
-//   --async-from S --async-to S --async-factor X   asynchrony window
+//   --async-from S --async-to S --async-factor X   asynchrony window: delays
+//                     multiplied by X (default 20) from S until the --async-to
+//                     S (default: end of run); --async-to and --async-factor
+//                     need --async-from
 //   --trace PATH      enable lifecycle tracing; write Chrome trace JSON to
 //                     PATH (open in chrome://tracing or ui.perfetto.dev) and
 //                     print the per-stage latency breakdown
@@ -36,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -132,6 +136,10 @@ int main(int argc, char** argv) {
   int runs = 1;
   int jobs = 1;
   bool csv = false;
+  // The --async-* flags describe one asynchrony window.
+  std::optional<TimePoint> async_from;
+  std::optional<TimePoint> async_to;
+  std::optional<double> async_multiplier;
 
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
@@ -181,11 +189,11 @@ int main(int argc, char** argv) {
     } else if (flag == "--real-crypto") {
       params.cluster.signer_kind = SignerKind::kEd25519;
     } else if (flag == "--async-from") {
-      params.async_start = Seconds(std::stoll(next()));
+      async_from = Seconds(std::stoll(next()));
     } else if (flag == "--async-to") {
-      params.async_end = Seconds(std::stoll(next()));
+      async_to = Seconds(std::stoll(next()));
     } else if (flag == "--async-factor") {
-      params.async_factor = std::stod(next());
+      async_multiplier = std::stod(next());
     } else if (flag == "--trace") {
       params.trace = true;
       params.trace_path = next();
@@ -196,6 +204,15 @@ int main(int argc, char** argv) {
     } else {
       Usage(("unknown flag " + flag).c_str());
     }
+  }
+  if (async_from.has_value()) {
+    if (async_to.has_value() && *async_to <= *async_from) {
+      Usage("--async-to must be after --async-from");
+    }
+    params.async_windows.push_back(
+        {*async_from, async_to.value_or(kNever), async_multiplier.value_or(20.0)});
+  } else if (async_to.has_value() || async_multiplier.has_value()) {
+    Usage("--async-to and --async-factor need --async-from");
   }
   if (params.nodes < 1 || params.faults >= params.nodes) {
     Usage("need nodes >= 1 and faults < nodes");
