@@ -16,11 +16,15 @@
 // protocol logic, you introduced nondeterminism or an accidental reorder.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/check/checker.h"
 #include "src/check/schedule.h"
 #include "src/common/rng.h"
+#include "src/runtime/client.h"
+#include "src/runtime/cluster.h"
 #include "src/sim/scheduler.h"
 
 namespace nt {
@@ -88,21 +92,53 @@ TEST(EventHashGolden, FullStackSchedules) {
     uint64_t hash;
     uint64_t fired;
     uint64_t commits;
+    std::optional<SystemKind> system = std::nullopt;  // Seed picks when unset.
   };
   // Mid-size DST schedules (crashes/partitions/asynchrony included); values
-  // pinned from the pre-fast-path engine at the PR base commit.
+  // pinned from the pre-fast-path engine at the PR base commit. Seed 16
+  // pinned to Bullshark restarts two validators (8 and 0), so the committer's
+  // WAL recovery and post-recovery GC pruning are inside the hash; it and the
+  // DAG-Rider run below were pinned while Tusk, Bullshark and DAG-Rider still
+  // had separate committers.
   const Golden kGolden[] = {
       {11, 0x4bd8b782bd02b6a0ull, 11867, 215},
       {29, 0x08c56da43d040bc2ull, 4274, 73},
+      {16, 0xdd4e9701e41c89a7ull, 12725, 317, SystemKind::kBullshark},
   };
   for (const Golden& g : kGolden) {
-    CheckResult result = RunSchedule(GenerateSchedule(g.seed));
+    CheckResult result = RunSchedule(GenerateSchedule(g.seed, g.system));
     EXPECT_TRUE(result.ok()) << "seed " << g.seed;
     EXPECT_EQ(result.event_hash, g.hash)
         << "seed " << g.seed << " hash 0x" << std::hex << result.event_hash;
     EXPECT_EQ(result.events_fired, g.fired) << "seed " << g.seed << " fired " << result.events_fired;
     EXPECT_EQ(result.commits, g.commits) << "seed " << g.seed << " commits " << result.commits;
   }
+}
+
+// DAG-Rider has no DST band (it does not support restarts), so a fault-free
+// cluster run pins its commit path: 4 validators, 500 tx/s per client, 10 s.
+TEST(EventHashGolden, DagRiderCluster) {
+  ClusterConfig config;
+  config.system = SystemKind::kDagRider;
+  config.num_validators = 4;
+  config.seed = 11;
+  Cluster cluster(config);
+  LoadGenerator::Options options;
+  options.rate_tps = 500;
+  options.stop_at = Seconds(10);
+  std::vector<std::unique_ptr<LoadGenerator>> clients;
+  for (ValidatorId v = 0; v < config.num_validators; ++v) {
+    clients.push_back(std::make_unique<LoadGenerator>(&cluster, v, 0, options));
+    clients.back()->Start();
+  }
+  cluster.Start();
+  cluster.scheduler().RunUntil(Seconds(10));
+  const Scheduler& sched = cluster.scheduler();
+  EXPECT_EQ(sched.event_hash(), 0x78319deb70567d3cull) << "hash 0x" << std::hex
+                                                       << sched.event_hash();
+  EXPECT_EQ(sched.events_fired(), 9488u);
+  EXPECT_EQ(cluster.dag_rider(0)->committed_headers(), 100u);
+  EXPECT_EQ(cluster.dag_rider(0)->last_committed_wave(), 7u);
 }
 
 }  // namespace
