@@ -72,30 +72,19 @@ Cluster::Cluster(const ClusterConfig& config)
   }
   switch (config_.system) {
     case SystemKind::kTusk:
-      consensus_stores_.resize(config_.num_validators);
-      for (uint32_t v = 0; v < config_.num_validators; ++v) {
-        consensus_stores_[v] = MakeStore("consensus_" + std::to_string(v) + ".wal");
-        tusks_.push_back(std::make_unique<Tusk>(primaries_[v].get(), committee_, &coin_,
-                                                config_.narwhal.gc_depth));
-        tusks_.back()->set_store(consensus_stores_[v].get());
-      }
-      WireTuskMetrics();
-      break;
     case SystemKind::kBullshark:
-      consensus_stores_.resize(config_.num_validators);
-      for (uint32_t v = 0; v < config_.num_validators; ++v) {
-        consensus_stores_[v] = MakeStore("consensus_" + std::to_string(v) + ".wal");
-        bullsharks_.push_back(std::make_unique<Bullshark>(
-            primaries_[v].get(), committee_, config_.narwhal.gc_depth, config_.bullshark));
-        bullsharks_.back()->set_store(consensus_stores_[v].get());
-      }
-      WireTuskMetrics();
-      break;
     case SystemKind::kDagRider:
-      for (uint32_t v = 0; v < config_.num_validators; ++v) {
-        riders_.push_back(std::make_unique<DagRider>(primaries_[v].get(), committee_, &coin_));
+      // Only committers that can restart keep a WAL (DAG-Rider cannot).
+      if (SupportsRestart()) {
+        consensus_stores_.resize(config_.num_validators);
+        for (uint32_t v = 0; v < config_.num_validators; ++v) {
+          consensus_stores_[v] = MakeStore("consensus_" + std::to_string(v) + ".wal");
+        }
       }
-      WireTuskMetrics();
+      committers_.resize(config_.num_validators);
+      for (ValidatorId v = 0; v < config_.num_validators; ++v) {
+        BuildCommitter(v);
+      }
       break;
     case SystemKind::kBaselineHs:
     case SystemKind::kBatchedHs:
@@ -134,28 +123,15 @@ void Cluster::WireExecutorFor(ValidatorId v) {
     executors_[v]->OnCommittedHeader(header);
     executors_[v]->RetryPending();
   };
-  switch (config_.system) {
-    case SystemKind::kTusk:
-      tusks_[v]->add_on_commit(
-          [on_committed](const Tusk::Committed& c) { on_committed(c.header); });
-      break;
-    case SystemKind::kBullshark:
-      bullsharks_[v]->add_on_commit(
-          [on_committed](const Bullshark::Committed& c) { on_committed(c.header); });
-      break;
-    case SystemKind::kDagRider:
-      riders_[v]->add_on_commit(
-          [on_committed](const DagRider::Committed& c) { on_committed(c.header); });
-      break;
-    case SystemKind::kNarwhalHs:
-      static_cast<NarwhalProvider*>(providers_[v].get())
-          ->add_on_header_commit(
-              [on_committed](const Digest&, const std::shared_ptr<const BlockHeader>& header) {
-                on_committed(header);
-              });
-      break;
-    default:
-      break;
+  if (WaveCommitter* dag_committer = committer(v)) {
+    dag_committer->add_on_commit(
+        [on_committed](const WaveCommitter::Committed& c) { on_committed(c.header); });
+  } else {  // kNarwhalHs (the only other system with execution lanes).
+    static_cast<NarwhalProvider*>(providers_[v].get())
+        ->add_on_header_commit(
+            [on_committed](const Digest&, const std::shared_ptr<const BlockHeader>& header) {
+              on_committed(header);
+            });
   }
 }
 
@@ -170,11 +146,8 @@ void Cluster::AttachTracer() {
       worker->set_tracer(tracer_.get());
     }
   }
-  for (auto& tusk : tusks_) {
-    tusk->set_tracer(tracer_.get());
-  }
-  for (auto& bullshark : bullsharks_) {
-    bullshark->set_tracer(tracer_.get());
+  for (auto& committer : committers_) {
+    committer->set_tracer(tracer_.get());
   }
   for (auto& hs : hs_nodes_) {
     hs->set_tracer(tracer_.get());
@@ -202,7 +175,8 @@ void Cluster::RegisterTraceGauges() {
       continue;
     }
     const uint32_t machine = network_->machine_of(node_id);
-    const std::string tag = "v" + std::to_string(v);
+    // append, not "v" + ...: GCC 12 reports a false -Wrestrict on the latter.
+    const std::string tag = std::string("v").append(std::to_string(v));
     t->RegisterGauge(tag + "/egress_backlog_us", v + 1, [this, machine](TimePoint now) {
       return static_cast<double>(network_->EgressBacklog(machine, now));
     });
@@ -410,33 +384,33 @@ void Cluster::WireHotStuffValidator(ValidatorId v) {
       });
 }
 
-void Cluster::WireTuskMetrics() {
-  for (ValidatorId v = 0; v < config_.num_validators; ++v) {
-    WireTuskMetricsFor(v);
+void Cluster::BuildCommitter(ValidatorId v) {
+  Primary* primary = primaries_[v].get();
+  const Round gc_depth = config_.narwhal.gc_depth;
+  switch (config_.system) {
+    case SystemKind::kTusk:
+      committers_[v] = std::make_unique<Tusk>(primary, committee_, &coin_, gc_depth);
+      break;
+    case SystemKind::kBullshark:
+      committers_[v] =
+          std::make_unique<Bullshark>(primary, committee_, gc_depth, config_.bullshark);
+      break;
+    default:  // kDagRider
+      committers_[v] = std::make_unique<DagRider>(primary, committee_, &coin_);
+      break;
   }
-}
-
-void Cluster::WireTuskMetricsFor(ValidatorId v) {
+  committers_[v]->set_store(consensus_store(v));
   // Convert per-header commits into per-batch metrics via the directory.
-  auto sink = [this, v](const std::shared_ptr<const BlockHeader>& header) {
-    for (const BatchRef& ref : header->batches) {
+  committers_[v]->add_on_commit([this, v](const WaveCommitter::Committed& committed) {
+    const BlockHeader& header = *committed.header;
+    for (const BatchRef& ref : header.batches) {
       const BatchDirectory::Info* info = directory_.Find(ref.digest);
-      ValidatorId owner = info != nullptr ? info->author : header->author;
+      ValidatorId owner = info != nullptr ? info->author : header.author;
       static const std::vector<TxSample> kNoSamples;
       metrics_.OnCommit(v, owner, ref.num_txs, ref.payload_bytes,
                         info != nullptr ? info->samples : kNoSamples);
     }
-  };
-  if (!tusks_.empty()) {
-    tusks_[v]->add_on_commit(
-        [sink](const Tusk::Committed& committed) { sink(committed.header); });
-  } else if (!bullsharks_.empty()) {
-    bullsharks_[v]->add_on_commit(
-        [sink](const Bullshark::Committed& committed) { sink(committed.header); });
-  } else {
-    riders_[v]->add_on_commit(
-        [sink](const DagRider::Committed& committed) { sink(committed.header); });
-  }
+  });
 }
 
 void Cluster::Start() { network_->Start(); }
@@ -524,11 +498,8 @@ void Cluster::RebuildValidator(ValidatorId v) {
   // Tear down top-down: the consensus layer references the primary. The
   // destructors flip each object's alive flag, so timers the dead objects
   // left in the scheduler fire as no-ops.
-  if (!tusks_.empty()) {
-    tusks_[v].reset();
-  }
-  if (!bullsharks_.empty()) {
-    bullsharks_[v].reset();
+  if (!committers_.empty()) {
+    committers_[v].reset();
   }
   if (!hs_nodes_.empty()) {
     hs_nodes_[v].reset();
@@ -560,18 +531,9 @@ void Cluster::RebuildValidator(ValidatorId v) {
     network_->ReplaceNode(topology_.worker_of[v][wi], workers_[v][wi].get());
   }
 
-  if (config_.system == SystemKind::kTusk) {
-    tusks_[v] = std::make_unique<Tusk>(primaries_[v].get(), committee_, &coin_,
-                                       config_.narwhal.gc_depth);
-    tusks_[v]->set_store(consensus_stores_[v].get());
-    tusks_[v]->Recover();
-    WireTuskMetricsFor(v);
-  } else if (config_.system == SystemKind::kBullshark) {
-    bullsharks_[v] = std::make_unique<Bullshark>(primaries_[v].get(), committee_,
-                                                 config_.narwhal.gc_depth, config_.bullshark);
-    bullsharks_[v]->set_store(consensus_stores_[v].get());
-    bullsharks_[v]->Recover();
-    WireTuskMetricsFor(v);
+  if (!committers_.empty()) {
+    BuildCommitter(v);
+    committers_[v]->Recover();
   } else {  // kNarwhalHs (the only other SupportsRestart() system).
     auto provider = std::make_unique<NarwhalProvider>(v, committee_, primaries_[v].get(),
                                                       &directory_, config_.narwhal.gc_depth);
@@ -603,11 +565,8 @@ void Cluster::RebuildValidator(ValidatorId v) {
     for (WorkerId wi = 0; wi < w; ++wi) {
       workers_[v][wi]->set_tracer(tracer_.get());
     }
-    if (!tusks_.empty()) {
-      tusks_[v]->set_tracer(tracer_.get());
-    }
-    if (!bullsharks_.empty()) {
-      bullsharks_[v]->set_tracer(tracer_.get());
+    if (!committers_.empty()) {
+      committers_[v]->set_tracer(tracer_.get());
     }
     if (!hs_nodes_.empty()) {
       hs_nodes_[v]->set_tracer(tracer_.get());
@@ -633,11 +592,8 @@ void Cluster::RebuildValidator(ValidatorId v) {
   for (WorkerId wi = 0; wi < w; ++wi) {
     workers_[v][wi]->OnStart();
   }
-  if (!tusks_.empty()) {
-    tusks_[v]->Resume();
-  }
-  if (!bullsharks_.empty()) {
-    bullsharks_[v]->Resume();
+  if (!committers_.empty()) {
+    committers_[v]->Resume();
   }
   if (!hs_nodes_.empty()) {
     hs_nodes_[v]->OnStart();

@@ -167,11 +167,15 @@ class Cluster {
   Worker* worker(ValidatorId v, WorkerId w) {
     return workers_.empty() ? nullptr : workers_[v][w].get();
   }
-  Tusk* tusk(ValidatorId v) { return tusks_.empty() ? nullptr : tusks_[v].get(); }
-  Bullshark* bullshark(ValidatorId v) {
-    return bullsharks_.empty() ? nullptr : bullsharks_[v].get();
+  // Validator `v`'s DAG committer (Tusk, Bullshark or DAG-Rider); nullptr
+  // for the HotStuff-based systems. The typed accessors below return it only
+  // when it is of that protocol.
+  WaveCommitter* committer(ValidatorId v) {
+    return committers_.empty() ? nullptr : committers_[v].get();
   }
-  DagRider* dag_rider(ValidatorId v) { return riders_.empty() ? nullptr : riders_[v].get(); }
+  Tusk* tusk(ValidatorId v) { return CommitterOf<Tusk>(SystemKind::kTusk, v); }
+  Bullshark* bullshark(ValidatorId v) { return CommitterOf<Bullshark>(SystemKind::kBullshark, v); }
+  DagRider* dag_rider(ValidatorId v) { return CommitterOf<DagRider>(SystemKind::kDagRider, v); }
   HotStuff* hotstuff(ValidatorId v) { return hs_nodes_.empty() ? nullptr : hs_nodes_[v].get(); }
   PayloadProvider* provider(ValidatorId v) {
     return providers_.empty() ? nullptr : providers_[v].get();
@@ -200,10 +204,16 @@ class Cluster {
   }
 
  private:
+  template <typename T>
+  T* CommitterOf(SystemKind kind, ValidatorId v) {
+    return config_.system == kind ? static_cast<T*>(committer(v)) : nullptr;
+  }
   void BuildNarwhal();
   void BuildHotStuff();
-  void WireTuskMetrics();
-  void WireTuskMetricsFor(ValidatorId v);
+  // Builds validator `v`'s DAG committer on its current primary, attaches
+  // its consensus store, and registers the per-batch commit metrics hook —
+  // called at build and again from RebuildValidator.
+  void BuildCommitter(ValidatorId v);
   // Creates validator `v`'s ShardedExecutor on first call and (re-)registers
   // its commit-stream hook on the current consensus object — called at build
   // and again from RebuildValidator, where the old hook died with the old
@@ -245,9 +255,7 @@ class Cluster {
   std::vector<std::unique_ptr<Store>> consensus_stores_;
   std::vector<std::unique_ptr<Primary>> primaries_;
   std::vector<std::vector<std::unique_ptr<Worker>>> workers_;
-  std::vector<std::unique_ptr<Tusk>> tusks_;
-  std::vector<std::unique_ptr<Bullshark>> bullsharks_;
-  std::vector<std::unique_ptr<DagRider>> riders_;
+  std::vector<std::unique_ptr<WaveCommitter>> committers_;
   std::vector<std::unique_ptr<PayloadProvider>> providers_;
   std::vector<std::unique_ptr<HotStuff>> hs_nodes_;
   // Execution lanes (empty unless config.exec_lanes > 0 on a Narwhal-based

@@ -207,7 +207,7 @@ class BullsharkHarness : public HarnessBase {
       : HarnessBase(n, gc_depth), config_(config) {
     bullshark_ = std::make_unique<Bullshark>(primary_.get(), committee_, gc_depth, config);
     bullshark_->add_on_commit([this](const Bullshark::Committed& c) {
-      EXPECT_EQ(c.decision_round, Bullshark::WaveSupportRound(c.wave));
+      EXPECT_LE(c.anchor_round, Bullshark::WaveAnchorRound(c.wave));
       Deliver(c.digest, *c.header);
     });
   }

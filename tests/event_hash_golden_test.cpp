@@ -94,8 +94,8 @@ TEST(EventHashGolden, FullStackSchedules) {
     uint64_t commits;
     std::optional<SystemKind> system = std::nullopt;  // Seed picks when unset.
   };
-  // Mid-size DST schedules (crashes/partitions/asynchrony included); values
-  // pinned from the pre-fast-path engine at the PR base commit. Seed 16
+  // Mid-size DST schedules (crashes/partitions/asynchrony included). Seeds 11
+  // and 29 were pinned from the engine before its fast path. Seed 16
   // pinned to Bullshark restarts two validators (8 and 0), so the committer's
   // WAL recovery and post-recovery GC pruning are inside the hash; it and the
   // DAG-Rider run below were pinned while Tusk, Bullshark and DAG-Rider still

@@ -142,8 +142,9 @@ TEST(RecoveryTest, TuskValidatorRestartsAndRejoins) {
 
 TEST(RecoveryTest, BullsharkValidatorRestartsAndRejoins) {
   // The victim goes down mid-anchor-chain; recovery must restore the
-  // committed-wave cursor from the 'S' meta record so resumed delivery
-  // extends — never re-plays or skips — the pre-crash anchor chain.
+  // committed-wave cursor from the committer's 'U' meta record (which also
+  // carries Bullshark's anchor schedule), so resumed delivery extends —
+  // never re-plays or skips — the pre-crash anchor chain.
   RecoveryRun run = RunWithRestart(SystemKind::kBullshark, 7);
   ExpectCleanRejoin(run);
   EXPECT_GT(run.commits[0].size(), 20u);

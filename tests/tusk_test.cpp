@@ -1,12 +1,18 @@
 // Tusk consensus unit tests: wave arithmetic, the commit rule, the exact
 // Figure 5 scenario (leader lacking f+1 support skipped, then ordered by a
-// later committed leader through a DAG path), deferral on incomplete
-// histories, and order agreement across differently-scheduled replicas.
+// later committed leader through a DAG path), and order agreement across
+// differently-scheduled replicas. Deferral on incomplete histories and
+// absent anchors run against every rule built on the shared WaveCommitter
+// (Tusk, Bullshark, DAG-Rider).
 #include "src/tusk/tusk.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+
+#include "src/bullshark/bullshark.h"
+#include "src/tusk/dag_rider.h"
 
 namespace nt {
 namespace {
@@ -26,16 +32,51 @@ class ScriptedCoin : public ThresholdCoin {
   std::vector<uint32_t> leaders_;  // leaders_[w-1] = leader of wave w.
 };
 
-struct NullNode : NetNode {
-  void OnMessage(uint32_t, const MessagePtr&) override {}
+// Records the headers the primary asks its peers for.
+struct RequestSink : NetNode {
+  void OnMessage(uint32_t, const MessagePtr& msg) override {
+    if (auto* request = dynamic_cast<const MsgCertRequest*>(msg.get())) {
+      requested.push_back(request->digest);
+    }
+  }
+  std::vector<Digest> requested;
 };
 
-// Drives a single validator's Tusk instance over a hand-built DAG.
-class TuskHarness {
+enum class Rule { kTusk, kBullshark, kDagRider };
+
+// Wave geometry of each rule, from the rule classes' own arithmetic.
+Round AnchorRoundOf(Rule rule, uint64_t wave) {
+  switch (rule) {
+    case Rule::kTusk:
+      return Tusk::WaveFirstRound(wave);
+    case Rule::kBullshark:
+      return Bullshark::WaveAnchorRound(wave);
+    case Rule::kDagRider:
+      return DagRider::WaveFirstRound(wave);
+  }
+  return 0;
+}
+Round DecisionRoundOf(Rule rule, uint64_t wave) {
+  switch (rule) {
+    case Rule::kTusk:
+      return Tusk::WaveThirdRound(wave);
+    case Rule::kBullshark:
+      return Bullshark::WaveSupportRound(wave);
+    case Rule::kDagRider:
+      return DagRider::WaveLastRound(wave);
+  }
+  return 0;
+}
+
+// Drives a single validator's committer over a hand-built DAG. The coin
+// scripts Tusk's and DAG-Rider's wave leaders; Bullshark's anchors follow
+// its round-robin schedule (wave w -> validator (w-1) mod n).
+class CommitterHarness {
  public:
   static constexpr uint32_t kN = 4;  // f = 1.
 
-  explicit TuskHarness(std::vector<uint32_t> wave_leaders, Round gc_depth = 1000)
+  explicit CommitterHarness(std::vector<uint32_t> wave_leaders, Round gc_depth = 1000,
+                            Rule rule = Rule::kTusk)
       : latency_(Millis(1)), coin_(std::move(wave_leaders)) {
     network_ = std::make_unique<Network>(&scheduler_, &latency_, &faults_, NetworkConfig{}, 1);
     std::vector<ValidatorInfo> infos;
@@ -51,8 +92,19 @@ class TuskHarness {
 
     primary_ = std::make_unique<Primary>(0, committee_, NarwhalConfig{}, network_.get(),
                                          &topology_, signers_[0].get());
-    tusk_ = std::make_unique<Tusk>(primary_.get(), committee_, &coin_, gc_depth);
-    tusk_->add_on_commit([this](const Tusk::Committed& c) { commits_.push_back(c); });
+    switch (rule) {
+      case Rule::kTusk:
+        committer_ = std::make_unique<Tusk>(primary_.get(), committee_, &coin_, gc_depth);
+        break;
+      case Rule::kBullshark:
+        committer_ = std::make_unique<Bullshark>(primary_.get(), committee_, gc_depth);
+        break;
+      case Rule::kDagRider:
+        committer_ = std::make_unique<DagRider>(primary_.get(), committee_, &coin_);
+        break;
+    }
+    committer_->add_on_commit(
+        [this](const WaveCommitter::Committed& c) { commits_.push_back(c); });
   }
 
   struct Node {
@@ -62,7 +114,7 @@ class TuskHarness {
   };
 
   // Creates a certified block and injects it into the local DAG, notifying
-  // Tusk as the primary would.
+  // the committer as the primary would.
   Node Add(Round round, ValidatorId author, const std::vector<Node>& parents,
            bool with_header = true) {
     auto header = std::make_shared<BlockHeader>();
@@ -86,13 +138,13 @@ class TuskHarness {
     if (with_header) {
       dag.AddHeader(header, node.digest);
     }
-    tusk_->OnCertificate(node.cert);
+    committer_->OnCertificate(node.cert);
     return node;
   }
 
   void AddHeaderLate(const Node& node) {
     primary_->mutable_dag().AddHeader(node.header, node.digest);
-    tusk_->OnHeaderStored(node.digest);
+    committer_->OnHeaderStored(node.digest);
   }
 
   // Builds a full round where every validator references all blocks of
@@ -127,14 +179,14 @@ class TuskHarness {
   FixedLatencyModel latency_;
   FaultController faults_;
   std::unique_ptr<Network> network_;
-  NullNode sink_;
+  RequestSink sink_;
   Topology topology_;
   Committee committee_;
   std::vector<std::unique_ptr<Signer>> signers_;
   ScriptedCoin coin_;
   std::unique_ptr<Primary> primary_;
-  std::unique_ptr<Tusk> tusk_;
-  std::vector<Tusk::Committed> commits_;
+  std::unique_ptr<WaveCommitter> committer_;
+  std::vector<WaveCommitter::Committed> commits_;
 };
 
 TEST(TuskTest, WaveRoundArithmetic) {
@@ -147,14 +199,14 @@ TEST(TuskTest, WaveRoundArithmetic) {
 }
 
 TEST(TuskTest, CommitsLeaderWithSupport) {
-  TuskHarness h({0});
+  CommitterHarness h({0});
   auto genesis = h.FullRound(0, {});
   auto r1 = h.FullRound(1, genesis);  // Leader = validator 0's round-1 block.
   auto r2 = h.FullRound(2, r1);       // All 4 reference the leader: 4 >= f+1.
   EXPECT_TRUE(h.commits_.empty());    // Wave incomplete: coin not yet revealed.
   auto r3 = h.FullRound(3, r2);
   EXPECT_TRUE(h.Committed(r1[0]));
-  EXPECT_EQ(h.tusk_->last_committed_wave(), 1u);
+  EXPECT_EQ(h.committer_->last_committed_wave(), 1u);
   // The leader's causal history (genesis + round 1 blocks it references)
   // is committed with it, leader last among them.
   EXPECT_TRUE(h.Committed(genesis[0]));
@@ -162,20 +214,20 @@ TEST(TuskTest, CommitsLeaderWithSupport) {
 }
 
 TEST(TuskTest, SkipsLeaderWithoutSupport) {
-  TuskHarness h({3, 2});
+  CommitterHarness h({3, 2});
   auto genesis = h.FullRound(0, {});
   auto r1 = h.FullRound(1, genesis);
   // Round 2 blocks reference only validators 0-2's blocks: leader (3) gets
   // 0 < f+1 votes.
-  std::vector<TuskHarness::Node> r1_no_leader = {r1[0], r1[1], r1[2]};
-  std::vector<TuskHarness::Node> r2;
+  std::vector<CommitterHarness::Node> r1_no_leader = {r1[0], r1[1], r1[2]};
+  std::vector<CommitterHarness::Node> r2;
   for (ValidatorId v = 0; v < 4; ++v) {
     r2.push_back(h.Add(2, v, r1_no_leader));
   }
   auto r3 = h.FullRound(3, r2);
   EXPECT_FALSE(h.Committed(r1[3]));
-  EXPECT_EQ(h.tusk_->last_committed_wave(), 0u);
-  EXPECT_EQ(h.tusk_->skipped_leaders(), 1u);
+  EXPECT_EQ(h.committer_->last_committed_wave(), 0u);
+  EXPECT_EQ(h.committer_->skipped_anchors(), 1u);
 }
 
 // The paper's Figure 5: L1 (wave 1) has fewer than f+1 second-round votes
@@ -183,13 +235,13 @@ TEST(TuskTest, SkipsLeaderWithoutSupport) {
 // round 4 and commits when round 5 completes. Since a path L2 -> L1 exists,
 // L1 is ordered before L2.
 TEST(TuskTest, Figure5ScenarioOrdersSkippedLeaderThroughPath) {
-  TuskHarness h({/*wave1*/ 3, /*wave2*/ 0});
+  CommitterHarness h({/*wave1*/ 3, /*wave2*/ 0});
   auto genesis = h.FullRound(0, {});
   auto r1 = h.FullRound(1, genesis);
   const auto& l1 = r1[3];
 
   // Round 2: only validator 1's block references L1 (1 < f+1 = 2).
-  std::vector<TuskHarness::Node> r2;
+  std::vector<CommitterHarness::Node> r2;
   r2.push_back(h.Add(2, 0, {r1[0], r1[1], r1[2]}));
   r2.push_back(h.Add(2, 1, {r1[0], r1[1], r1[2], l1}));  // The only L1 vote.
   r2.push_back(h.Add(2, 2, {r1[0], r1[1], r1[2]}));
@@ -201,10 +253,10 @@ TEST(TuskTest, Figure5ScenarioOrdersSkippedLeaderThroughPath) {
   auto r3 = h.FullRound(3, r2);
   const auto& l2 = r3[0];
   EXPECT_TRUE(h.commits_.empty());
-  EXPECT_EQ(h.tusk_->skipped_leaders(), 1u);
+  EXPECT_EQ(h.committer_->skipped_anchors(), 1u);
 
   // Round 4: f+1 = 2 blocks vote for L2.
-  std::vector<TuskHarness::Node> r4;
+  std::vector<CommitterHarness::Node> r4;
   r4.push_back(h.Add(4, 0, {r3[0], r3[1], r3[2]}));
   r4.push_back(h.Add(4, 1, {r3[0], r3[1], r3[3]}));
   r4.push_back(h.Add(4, 2, {r3[1], r3[2], r3[3]}));
@@ -215,60 +267,113 @@ TEST(TuskTest, Figure5ScenarioOrdersSkippedLeaderThroughPath) {
   EXPECT_TRUE(h.Committed(l2));
   EXPECT_TRUE(h.Committed(l1));
   EXPECT_LT(h.CommitIndex(l1), h.CommitIndex(l2));
-  EXPECT_EQ(h.tusk_->last_committed_wave(), 2u);
+  EXPECT_EQ(h.committer_->last_committed_wave(), 2u);
   // Every commit callback is ordered: the anchor's history precedes it.
   for (size_t i = 1; i < h.commits_.size(); ++i) {
     EXPECT_LE(h.commits_[i - 1].wave, h.commits_[i].wave);
   }
 }
 
-TEST(TuskTest, DefersCommitOnMissingHeaderThenRecovers) {
-  TuskHarness h({0});
+// Every rule runs the same deferral and absent-anchor paths. Scripted coin
+// leaders {0, 1} match Bullshark's round-robin anchors, so wave 1's anchor
+// is validator 0's block and wave 2's is validator 1's under all three.
+class WaveCommitterTest : public ::testing::TestWithParam<Rule> {
+ protected:
+  Rule rule() const { return GetParam(); }
+};
+
+TEST_P(WaveCommitterTest, DefersCommitOnMissingHeaderThenRecovers) {
+  CommitterHarness h({0, 1}, 1000, rule());
   // Validator 2's genesis header is withheld (certificate only); it is in
   // the causal history of every round-1 block, so the wave-1 commit must
-  // wait for it.
-  std::vector<TuskHarness::Node> genesis;
+  // wait for it. Full rounds up to 4 let every rule decide wave 1.
+  std::vector<CommitterHarness::Node> genesis;
   for (ValidatorId v = 0; v < 4; ++v) {
     genesis.push_back(h.Add(0, v, {}, /*with_header=*/v != 2));
   }
-  auto r1 = h.FullRound(1, genesis);
-  auto r2 = h.FullRound(2, r1);
-  h.FullRound(3, r2);
+  std::vector<CommitterHarness::Node> prev = genesis;
+  std::vector<CommitterHarness::Node> r1;
+  for (Round r = 1; r <= 4; ++r) {
+    prev = h.FullRound(r, prev);
+    if (r == 1) {
+      r1 = prev;
+    }
+  }
+  ASSERT_LE(DecisionRoundOf(rule(), 1), 4u);
+  // Delivery is withheld and the missing header is requested from a peer.
   EXPECT_TRUE(h.commits_.empty());
+  EXPECT_EQ(h.committer_->last_committed_wave(), 0u);
+  h.scheduler_.RunUntil(Millis(10));
+  const std::vector<Digest>& requested = h.sink_.requested;
+  EXPECT_NE(std::find(requested.begin(), requested.end(), genesis[2].digest), requested.end());
+
   h.AddHeaderLate(genesis[2]);
+  EXPECT_GE(h.committer_->last_committed_wave(), 1u);
   EXPECT_TRUE(h.Committed(r1[0]));
   EXPECT_TRUE(h.Committed(genesis[2]));
-  // The withheld header is ordered within the history, before the leader.
+  // The withheld header is ordered within the history, before the anchor.
   EXPECT_LT(h.CommitIndex(genesis[2]), h.CommitIndex(r1[0]));
 }
 
-TEST(TuskTest, AbsentLeaderCertificateSkipsWave) {
-  TuskHarness h({3, 0});
-  auto genesis = h.FullRound(0, {});
-  // Validator 3 (wave-1 leader) produces no round-1 block at all.
-  std::vector<TuskHarness::Node> r1;
-  for (ValidatorId v = 0; v < 3; ++v) {
-    r1.push_back(h.Add(1, v, genesis));
+TEST_P(WaveCommitterTest, AbsentLeaderCertificateSkipsWave) {
+  CommitterHarness h({0, 1}, 1000, rule());
+  ASSERT_EQ(AnchorRoundOf(rule(), 1), 1u);
+  const Round anchor2_round = AnchorRoundOf(rule(), 2);
+  // Validator 0 (wave 1's anchor author) produces no round-1 block at all;
+  // every other round is full.
+  std::vector<CommitterHarness::Node> prev = h.FullRound(0, {});
+  std::vector<CommitterHarness::Node> anchor2_round_nodes;
+  for (Round r = 1; r <= DecisionRoundOf(rule(), 2); ++r) {
+    if (r == 1) {
+      std::vector<CommitterHarness::Node> r1;
+      for (ValidatorId v = 1; v < 4; ++v) {
+        r1.push_back(h.Add(1, v, prev));
+      }
+      prev = r1;
+    } else {
+      prev = h.FullRound(r, prev);
+    }
+    if (r == DecisionRoundOf(rule(), 1)) {
+      // Wave 1 is decidable but has no anchor: nothing commits and, with no
+      // anchor to lack support, nothing counts as skipped.
+      EXPECT_EQ(h.committer_->last_committed_wave(), 0u);
+      EXPECT_EQ(h.committer_->skipped_anchors(), 0u);
+      EXPECT_TRUE(h.commits_.empty());
+    }
+    if (r == anchor2_round) {
+      anchor2_round_nodes = prev;
+    }
   }
-  auto r2 = h.FullRound(2, r1);
-  auto r3 = h.FullRound(3, r2);
-  EXPECT_EQ(h.tusk_->last_committed_wave(), 0u);
   // Wave 2 commits normally.
-  auto r4 = h.FullRound(4, r3);
-  h.FullRound(5, r4);
-  EXPECT_EQ(h.tusk_->last_committed_wave(), 2u);
-  EXPECT_TRUE(h.Committed(r3[0]));
+  EXPECT_EQ(h.committer_->last_committed_wave(), 2u);
+  EXPECT_TRUE(h.Committed(anchor2_round_nodes[1]));
+  EXPECT_EQ(h.commits_.back().digest, anchor2_round_nodes[1].digest);
+  EXPECT_EQ(h.commits_.back().anchor_round, anchor2_round);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllRules, WaveCommitterTest,
+                         ::testing::Values(Rule::kTusk, Rule::kBullshark, Rule::kDagRider),
+                         [](const ::testing::TestParamInfo<Rule>& param_info) {
+                           switch (param_info.param) {
+                             case Rule::kTusk:
+                               return "Tusk";
+                             case Rule::kBullshark:
+                               return "Bullshark";
+                             case Rule::kDagRider:
+                               return "DagRider";
+                           }
+                           return "Unknown";
+                         });
 
 TEST(TuskTest, GcAdvancesWithCommits) {
   const Round kGcDepth = 2;
-  TuskHarness h({0, 0, 0, 0, 0, 0, 0, 0}, kGcDepth);
-  std::vector<TuskHarness::Node> prev = h.FullRound(0, {});
+  CommitterHarness h({0, 0, 0, 0, 0, 0, 0, 0}, kGcDepth);
+  std::vector<CommitterHarness::Node> prev = h.FullRound(0, {});
   for (Round r = 1; r <= 9; ++r) {
     prev = h.FullRound(r, prev);
   }
   // Waves 1..4 committed (leader rounds 1,3,5,7): GC horizon follows.
-  EXPECT_GE(h.tusk_->last_committed_wave(), 3u);
+  EXPECT_GE(h.committer_->last_committed_wave(), 3u);
   EXPECT_GT(h.primary_->dag().gc_round(), 0u);
   EXPECT_LE(h.primary_->dag().gc_round(), 7u);
 }
@@ -278,13 +383,13 @@ TEST(TuskTest, GcAdvancesWithCommits) {
 // must emit identical commit sequences.
 TEST(TuskTest, OrderAgreementAcrossDeliverySchedules) {
   auto run = [](bool author_major) {
-    TuskHarness h({1, 2, 3, 0, 1});
-    std::vector<std::vector<TuskHarness::Node>> rounds;
-    std::vector<TuskHarness::Node> prev;
+    CommitterHarness h({1, 2, 3, 0, 1});
+    std::vector<std::vector<CommitterHarness::Node>> rounds;
+    std::vector<CommitterHarness::Node> prev;
     if (author_major) {
       // Same DAG, but authors within each round added in reverse order.
       for (Round r = 0; r <= 11; ++r) {
-        std::vector<TuskHarness::Node> nodes(4);
+        std::vector<CommitterHarness::Node> nodes(4);
         for (int v = 3; v >= 0; --v) {
           nodes[v] = h.Add(r, static_cast<ValidatorId>(v), prev);
         }
