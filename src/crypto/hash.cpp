@@ -1,6 +1,14 @@
 #include "src/crypto/hash.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "src/crypto/sha256_blocks.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace nt {
 namespace {
@@ -193,6 +201,139 @@ std::string DigestShort(const Digest& d) {
 
 // ----------------------------------------------------------------- SHA-256
 
+namespace sha256_blocks {
+
+void CompressScalar(uint32_t state[8], const uint8_t* data, size_t blocks) {
+  const uint32_t* k = Constants().k256;
+  for (; blocks > 0; --blocks, data += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = LoadBe32(data + 4 * i);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = Rotr32(w[i - 15], 7) ^ Rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr32(w[i - 2], 17) ^ Rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr32(e, 6) ^ Rotr32(e, 11) ^ Rotr32(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t t1 = h + s1 + ch + k[i] + w[i];
+      uint32_t s0 = Rotr32(a, 2) ^ Rotr32(a, 13) ^ Rotr32(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+// The SHA-NI kernel keeps the state as two vectors, ABEF and CDGH (the
+// register layout _mm_sha256rnds2_epu32 wants), and the message schedule as a
+// ring of four vectors of four words each. Only this function is compiled for
+// the SHA extensions; the rest of the build stays baseline.
+__attribute__((target("sha,sse4.1,ssse3")))
+void CompressShaNi(uint32_t state[8], const uint8_t* data, size_t blocks) {
+  const uint32_t* k = Constants().k256;
+  // Byte order within each 32-bit word: big-endian message words.
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // m[i & 3] holds words 4i..4i+3 when group i runs. Group i then finishes
+    // the words of group i+1 (msg2) and starts those of group i+3 (msg1) in
+    // the slot group i-1 no longer needs.
+    __m128i m[4];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      if (i < 4) {
+        m[i] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)), bswap);
+      }
+      // Four rounds: two per sha256rnds2, which takes its words from the low half.
+      const __m128i wk =
+          _mm_add_epi32(m[i & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(k + 4 * i)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+      if (i >= 3 && i <= 14) {
+        const __m128i carry = _mm_alignr_epi8(m[i & 3], m[(i - 1) & 3], 4);
+        m[(i + 1) & 3] = _mm_sha256msg2_epu32(_mm_add_epi32(m[(i + 1) & 3], carry), m[i & 3]);
+      }
+      if (i >= 1 && i <= 12) {
+        m[(i - 1) & 3] = _mm_sha256msg1_epu32(m[(i - 1) & 3], m[i & 3]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool HasShaNi() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) {
+    return false;
+  }
+  const bool shuffles = (ecx & bit_SSSE3) != 0 && (ecx & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) {
+    return false;
+  }
+  return shuffles && (ebx & bit_SHA) != 0;
+}
+
+#else
+
+bool HasShaNi() { return false; }
+
+#endif
+
+}  // namespace sha256_blocks
+
+namespace {
+
+// The kernel every Sha256 uses, chosen on first use.
+void Compress(uint32_t state[8], const uint8_t* data, size_t blocks) {
+#if defined(__x86_64__) || defined(__i386__)
+  static const auto kernel =
+      sha256_blocks::HasShaNi() ? sha256_blocks::CompressShaNi : sha256_blocks::CompressScalar;
+  kernel(state, data, blocks);
+#else
+  sha256_blocks::CompressScalar(state, data, blocks);
+#endif
+}
+
+}  // namespace
+
 Sha256::Sha256() {
   const ShaConstants& c = Constants();
   for (int i = 0; i < 8; ++i) {
@@ -200,79 +341,47 @@ Sha256::Sha256() {
   }
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
-  const ShaConstants& c = Constants();
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = LoadBe32(block + 4 * i);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr32(w[i - 15], 7) ^ Rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr32(w[i - 2], 17) ^ Rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  uint32_t a = state_[0], b = state_[1], cc = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr32(e, 6) ^ Rotr32(e, 11) ^ Rotr32(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t t1 = h + s1 + ch + c.k256[i] + w[i];
-    uint32_t s0 = Rotr32(a, 2) ^ Rotr32(a, 13) ^ Rotr32(a, 22);
-    uint32_t maj = (a & b) ^ (a & cc) ^ (b & cc);
-    uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = cc;
-    cc = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += cc;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::Update(const uint8_t* data, size_t len) {
+  if (len == 0) {
+    return;  // `data` may be null; memcpy must not see it.
+  }
   total_len_ += len;
-  while (len > 0) {
-    if (buffer_len_ == 0 && len >= 64) {
-      ProcessBlock(data);
-      data += 64;
-      len -= 64;
-      continue;
-    }
-    size_t take = std::min(len, 64 - buffer_len_);
+  if (buffer_len_ > 0) {
+    const size_t take = std::min(len, 64 - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_.data());
-      buffer_len_ = 0;
+    if (buffer_len_ < 64) {
+      return;
     }
+    Compress(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  const size_t blocks = len / 64;
+  if (blocks > 0) {
+    Compress(state_.data(), data, blocks);
+    data += 64 * blocks;
+    len -= 64 * blocks;
+  }
+  if (len > 0) {
+    std::memcpy(buffer_.data(), data, len);
+    buffer_len_ = len;
   }
 }
 
 Digest Sha256::Finalize() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
+  // 0x80, zeros to byte 56 of the last block, then the 64-bit bit length.
+  // The length needs a second block when fewer than 9 bytes are left.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    Compress(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  uint8_t len_be[8];
-  StoreBe64(len_be, bit_len);
-  // Bypass Update's length accounting for the final length field.
-  std::memcpy(buffer_.data() + 56, len_be, 8);
-  ProcessBlock(buffer_.data());
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  StoreBe64(buffer_.data() + 56, total_len_ * 8);
+  Compress(state_.data(), buffer_.data(), 1);
   buffer_len_ = 0;
 
   Digest out;
@@ -358,16 +467,17 @@ void Sha512::Update(const uint8_t* data, size_t len) {
 }
 
 Sha512::Output Sha512::Finalize() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 112) {
-    Update(&zero, 1);
+  // 0x80, zeros to byte 112 of the last block, then the 128-bit bit length
+  // (high 64 bits zero for all inputs we hash). The length needs a second
+  // block when fewer than 17 bytes are left.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 112) {
+    std::memset(buffer_.data() + buffer_len_, 0, 128 - buffer_len_);
+    ProcessBlock(buffer_.data());
+    buffer_len_ = 0;
   }
-  // 128-bit length field: high 64 bits are zero for all inputs we hash.
-  std::memset(buffer_.data() + 112, 0, 8);
-  StoreBe64(buffer_.data() + 120, bit_len);
+  std::memset(buffer_.data() + buffer_len_, 0, 120 - buffer_len_);
+  StoreBe64(buffer_.data() + 120, total_len_ * 8);
   ProcessBlock(buffer_.data());
   buffer_len_ = 0;
 

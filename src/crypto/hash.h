@@ -5,6 +5,11 @@
 // first primes — using exact multi-word integer arithmetic, rather than being
 // transcribed as literal tables. Known-answer tests pin the results to the
 // NIST vectors.
+//
+// SHA-256 has two compression kernels: the x86 SHA extensions (SHA-NI) and a
+// portable scalar loop. The first Sha256 picks one through CPUID and every
+// later one uses it; both read the same derived round constants, and tests
+// check that they agree (src/crypto/sha256_blocks.h). SHA-512 is scalar only.
 #ifndef SRC_CRYPTO_HASH_H_
 #define SRC_CRYPTO_HASH_H_
 
@@ -41,8 +46,6 @@ class Sha256 {
   }
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   std::array<uint32_t, 8> state_;
   std::array<uint8_t, 64> buffer_;
   uint64_t total_len_ = 0;
