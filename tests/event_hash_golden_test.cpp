@@ -141,5 +141,41 @@ TEST(EventHashGolden, DagRiderCluster) {
   EXPECT_EQ(cluster.dag_rider(0)->last_committed_wave(), 7u);
 }
 
+// Quorum edge for Narwhal-HS: 7 validators with 5 and 6 crashed from t=0
+// (exactly 2f+1 live) and 5% loss, so every retransmission loop and the
+// pacemaker's view timeout fire. The hash pins their delays and the order of
+// their sends; the tracer counts check that each loop actually ran.
+TEST(EventHashGolden, QuorumEdgeNarwhalHs) {
+  ClusterConfig config;
+  config.system = SystemKind::kNarwhalHs;
+  config.num_validators = 7;
+  config.seed = 7;
+  config.trace = true;
+  Cluster cluster(config);
+  cluster.CrashValidator(5, 0);
+  cluster.CrashValidator(6, 0);
+  cluster.faults().SetLossRate(0.05);
+  LoadGenerator::Options options;
+  options.rate_tps = 200;  // 1000 tx/s over the five live entry points.
+  options.stop_at = Seconds(15);
+  std::vector<std::unique_ptr<LoadGenerator>> clients;
+  for (ValidatorId v = 0; v < 5; ++v) {
+    clients.push_back(std::make_unique<LoadGenerator>(&cluster, v, 0, options));
+    clients.back()->Start();
+  }
+  cluster.Start();
+  cluster.scheduler().RunUntil(Seconds(15));
+  const Scheduler& sched = cluster.scheduler();
+  EXPECT_EQ(sched.event_hash(), 0x041f13fbd0b26bf1ull) << "hash 0x" << std::hex
+                                                       << sched.event_hash();
+  EXPECT_EQ(sched.events_fired(), 21877u);
+  EXPECT_EQ(cluster.hotstuff(0)->committed_blocks(), 9u);
+  const Tracer& tracer = *cluster.tracer();
+  EXPECT_EQ(tracer.total_retry_rounds("header_retry"), 18u);
+  EXPECT_EQ(tracer.total_retry_rounds("cert_reshare"), 32u);
+  EXPECT_EQ(tracer.total_retry_rounds("batch_retry"), 267u);
+  EXPECT_EQ(tracer.counter("hotstuff/timeouts"), 45u);
+}
+
 }  // namespace
 }  // namespace nt
