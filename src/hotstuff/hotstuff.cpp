@@ -5,6 +5,7 @@
 
 #include "src/common/codec.h"
 #include "src/common/logging.h"
+#include "src/net/retransmit.h"
 #include "src/types/cert_cache.h"
 
 namespace nt {
@@ -51,11 +52,10 @@ QuorumCert DecodeQc(Reader& r) {
 
 }  // namespace
 
-HotStuff::HotStuff(ValidatorId id, const Committee& committee, const HotStuffConfig& config,
-                   Network* network, Signer* signer, PayloadProvider* provider)
+HotStuff::HotStuff(ValidatorId id, const Committee& committee, Network* network, Signer* signer,
+                   PayloadProvider* provider)
     : id_(id),
       committee_(committee),
-      config_(config),
       network_(network),
       signer_(signer),
       provider_(provider) {
@@ -63,8 +63,6 @@ HotStuff::HotStuff(ValidatorId id, const Committee& committee, const HotStuffCon
   last_committed_ = kGenesisDigest;
   high_qc_ = QuorumCert{};  // Genesis QC: zero digest, view 0.
 }
-
-HotStuff::~HotStuff() { *alive_ = false; }
 
 void HotStuff::OnStart() {
   provider_->OnStart();
@@ -256,15 +254,9 @@ void HotStuff::StartTimer() {
   if (view_timer_ != Scheduler::kInvalidTimer) {
     network_->scheduler()->Cancel(view_timer_);
   }
-  uint32_t doublings = std::min(consecutive_timeouts_, config_.max_backoff_doublings);
-  TimeDelta timeout = config_.base_timeout << doublings;
   View armed_view = view_;
-  view_timer_ = network_->scheduler()->ScheduleAfter(
-      timeout, [this, alive = alive_, armed_view] {
-        if (*alive) {
-          OnTimeout(armed_view);
-        }
-      });
+  view_timer_ = Schedule(network_->scheduler(), kViewTimeout.Delay(consecutive_timeouts_),
+                         [this, armed_view] { OnTimeout(armed_view); });
 }
 
 void HotStuff::OnTimeout(View view) {
@@ -306,12 +298,8 @@ void HotStuff::MaybePropose() {
 
   blocks_[digest] = block;
   Broadcast(std::make_shared<MsgHsProposal>(block, digest));
-  network_->scheduler()->ScheduleAfter(config_.proposal_retry_delay,
-                                       [this, alive = alive_, digest, v = block->view] {
-                                         if (*alive) {
-                                           RetryProposal(digest, v, 0);
-                                         }
-                                       });
+  Schedule(network_->scheduler(), kProposalRetry.Delay(0),
+           [this, digest, v = block->view] { RetryProposal(digest, v, 0); });
   UpdateChain(*block);
   TryVote(digest);
 }
@@ -326,12 +314,8 @@ void HotStuff::RetryProposal(const Digest& digest, View view, uint32_t attempt) 
   }
   Broadcast(std::make_shared<MsgHsProposal>(it->second, digest));
   uint32_t next = attempt + 1;
-  TimeDelta delay = config_.proposal_retry_delay << std::min(next, 3u);
-  network_->scheduler()->ScheduleAfter(delay, [this, alive = alive_, digest, view, next] {
-    if (*alive) {
-      RetryProposal(digest, view, next);
-    }
-  });
+  Schedule(network_->scheduler(), kProposalRetry.Delay(next),
+           [this, digest, view, next] { RetryProposal(digest, view, next); });
 }
 
 // ---------------------------------------------------------------- proposals
@@ -654,8 +638,8 @@ void HotStuff::RequestBlock(const Digest& digest, uint32_t hint) {
     return;
   }
   network_->Send(net_id_, hint, std::make_shared<MsgHsBlockRequest>(digest));
-  network_->scheduler()->ScheduleAfter(config_.sync_retry_delay, [this, alive = alive_, digest] {
-    if (!*alive || blocks_.count(digest) != 0) {
+  Schedule(network_->scheduler(), kBlockFetch.Delay(0), [this, digest] {
+    if (blocks_.count(digest) != 0) {
       return;
     }
     fetching_blocks_.erase(digest);

@@ -31,27 +31,10 @@
 
 namespace nt {
 
-struct HotStuffConfig {
-  // Initial per-view timeout; doubles per repeated timeout within the same
-  // view (capped) and resets when the view advances — LibraBFT-style
-  // progress-based backoff.
-  TimeDelta base_timeout = Seconds(1);
-  uint32_t max_backoff_doublings = 3;
-  // Retry delay for ancestor catch-up requests.
-  TimeDelta sync_retry_delay = Millis(300);
-  // In-view proposal retransmission (paper §6: stored messages are re-sent
-  // until no longer needed for progress). A proposal and its votes are sent
-  // once per view; without retransmission a single lost message wastes the
-  // entire view, and at exactly 2f+1 alive validators under loss the
-  // three consecutive clean views a commit needs almost never line up.
-  TimeDelta proposal_retry_delay = Millis(300);
-};
-
 class HotStuff : public NetNode {
  public:
-  HotStuff(ValidatorId id, const Committee& committee, const HotStuffConfig& config,
-           Network* network, Signer* signer, PayloadProvider* provider);
-  ~HotStuff() override;
+  HotStuff(ValidatorId id, const Committee& committee, Network* network, Signer* signer,
+           PayloadProvider* provider);
 
   void set_net_id(uint32_t id) { net_id_ = id; }
 
@@ -135,7 +118,6 @@ class HotStuff : public NetNode {
 
   ValidatorId id_;
   const Committee& committee_;
-  HotStuffConfig config_;
   Network* network_;
   Signer* signer_;
   PayloadProvider* provider_;
@@ -176,9 +158,6 @@ class HotStuff : public NetNode {
   uint64_t timeouts_fired_ = 0;
 
   Store* store_ = nullptr;
-
-  // Liveness flag captured by scheduled lambdas; see Primary::alive_.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace nt

@@ -671,7 +671,7 @@ std::vector<Finding> RunDeferredCapture(const std::string& rel_path, const Lexed
           if (t[k].text == "this") {
             ++k;
           } else if (k + 1 < lam.cap_close && t[k + 1].text == "=") {
-            val_names.insert(t[k].text);  // Init-capture `alive = alive_`.
+            val_names.insert(t[k].text);  // Init-capture `r = header->round`.
             int d = 0;
             k += 2;
             while (k < lam.cap_close) {

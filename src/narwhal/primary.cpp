@@ -7,6 +7,7 @@
 #include "src/common/codec.h"
 #include "src/common/logging.h"
 #include "src/common/seeded_bugs.h"
+#include "src/net/retransmit.h"
 #include "src/types/cert_cache.h"
 
 namespace nt {
@@ -60,8 +61,6 @@ Primary::Primary(ValidatorId id, const Committee& committee, const NarwhalConfig
       network_(network),
       topology_(topology),
       signer_(signer) {}
-
-Primary::~Primary() { *alive_ = false; }
 
 void Primary::OnStart() {
   if (recovered_) {
@@ -313,14 +312,10 @@ void Primary::SchedulePropose() {
   // No payload yet: wait up to max_header_delay for worker batches, then
   // propose an empty header to keep the DAG advancing.
   if (propose_timer_ == Scheduler::kInvalidTimer) {
-    propose_timer_ = network_->scheduler()->ScheduleAfter(
-        config_.max_header_delay, [this, alive = alive_] {
-          if (!*alive) {
-            return;
-          }
-          propose_timer_ = Scheduler::kInvalidTimer;
-          ProposeNow();
-        });
+    propose_timer_ = Schedule(network_->scheduler(), config_.max_header_delay, [this] {
+      propose_timer_ = Scheduler::kInvalidTimer;
+      ProposeNow();
+    });
   }
 }
 
@@ -399,12 +394,8 @@ void Primary::ProposeNow() {
   for (size_t i = 0; i < a_recipients; ++i) {
     network_->Send(net_id_, topology_->primary_of[others[i]], msg);
   }
-  network_->scheduler()->ScheduleAfter(config_.header_retry_delay,
-                                       [this, alive = alive_, digest, r = header->round] {
-                                         if (*alive) {
-                                           RetryBroadcast(digest, r, 0);
-                                         }
-                                       });
+  Schedule(network_->scheduler(), kHeaderRetry.Delay(0),
+           [this, digest, r = header->round] { RetryBroadcast(digest, r, 0); });
 
   if (equivocate) {
     auto twin = std::make_shared<BlockHeader>();
@@ -424,12 +415,8 @@ void Primary::ProposeNow() {
     for (size_t i = a_recipients; i < others.size(); ++i) {
       network_->Send(net_id_, topology_->primary_of[others[i]], twin_msg);
     }
-    network_->scheduler()->ScheduleAfter(config_.header_retry_delay,
-                                         [this, alive = alive_, twin_digest, r = twin->round] {
-                                           if (*alive) {
-                                             RetryBroadcast(twin_digest, r, 0);
-                                           }
-                                         });
+    Schedule(network_->scheduler(), kHeaderRetry.Delay(0),
+             [this, twin_digest, r = twin->round] { RetryBroadcast(twin_digest, r, 0); });
   }
 
   // n = 1 degenerate committees certify immediately.
@@ -445,16 +432,15 @@ void Primary::RetryBroadcast(Digest digest, Round round, uint32_t attempt) {
   if (round_ > round) {
     return;
   }
-  // `attempt` is the authoritative backoff counter: unlike Proposal::retries,
-  // it survives FormCertificate erasing the proposal, so the certificate
-  // re-share branch backs off exponentially instead of re-flooding all peers
-  // every header_retry_delay for the whole stall.
+  // `attempt` is the backoff counter. It rides in the timer rather than in
+  // the Proposal, so it survives FormCertificate erasing the proposal and the
+  // certificate re-share branch backs off too instead of re-flooding all
+  // peers at the base delay for the whole stall.
   uint32_t retries = attempt + 1;
   auto it = proposals_.find(digest);
   if (it != proposals_.end()) {
     // Still uncertified: resend the header to validators that have not voted.
     Proposal& proposal = it->second;
-    proposal.retries = retries;
     auto msg = std::make_shared<MsgHeader>(proposal.header, digest);
     uint64_t resent = 0;
     for (ValidatorId v = 0; v < committee_.size(); ++v) {
@@ -477,16 +463,8 @@ void Primary::RetryBroadcast(Digest digest, Round round, uint32_t attempt) {
   } else {
     return;  // GC'd: no longer needed.
   }
-  // Cap the backoff at 8× the base delay: retransmission is what carries
-  // liveness through loss when only 2f+1 validators survive, so the retry
-  // interval must stay well under any post-GST liveness bound (a 32 s gap
-  // reads as a dead cluster to everything downstream).
-  TimeDelta delay = config_.header_retry_delay << std::min(retries, 3u);
-  network_->scheduler()->ScheduleAfter(delay, [this, alive = alive_, digest, round, retries] {
-    if (*alive) {
-      RetryBroadcast(digest, round, retries);
-    }
-  });
+  Schedule(network_->scheduler(), kHeaderRetry.Delay(retries),
+           [this, digest, round, retries] { RetryBroadcast(digest, round, retries); });
 }
 
 // ------------------------------------------------------------------- voting
@@ -710,12 +688,8 @@ void Primary::RetryHeaderSync(const Digest& digest) {
   ++sync.attempts;
   ++header_sync_requests_;
   network_->Send(net_id_, topology_->primary_of[target], std::make_shared<MsgCertRequest>(digest));
-  TimeDelta delay = config_.sync_retry_delay << std::min(sync.attempts, 6u);
-  network_->scheduler()->ScheduleAfter(delay, [this, alive = alive_, digest] {
-    if (*alive) {
-      RetryHeaderSync(digest);
-    }
-  });
+  Schedule(network_->scheduler(), kHeaderSync.Delay(sync.attempts),
+           [this, digest] { RetryHeaderSync(digest); });
 }
 
 void Primary::StoreHeader(std::shared_ptr<const BlockHeader> header, const Digest& digest) {

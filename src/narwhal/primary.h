@@ -42,7 +42,6 @@ class Primary : public NetNode {
  public:
   Primary(ValidatorId id, const Committee& committee, const NarwhalConfig& config,
           Network* network, const Topology* topology, Signer* signer);
-  ~Primary() override;
 
   void set_net_id(uint32_t id) { net_id_ = id; }
 
@@ -124,7 +123,6 @@ class Primary : public NetNode {
     std::shared_ptr<const BlockHeader> header;
     Digest digest{};
     std::map<ValidatorId, Signature> votes;
-    uint32_t retries = 0;
   };
   struct PendingHeader {
     std::shared_ptr<const BlockHeader> header;
@@ -226,11 +224,6 @@ class Primary : public NetNode {
   std::vector<Digest> recovered_missing_headers_;
   uint64_t recovered_store_records_ = 0;
   uint64_t header_sync_requests_ = 0;
-
-  // Liveness flag captured by every scheduled lambda: a rebuilt validator
-  // destroys its predecessor while that predecessor's timers may still be
-  // queued, and a fired timer must not touch the dead object.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace nt

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/net/retransmit.h"
 
 namespace nt {
 
@@ -20,8 +21,6 @@ Worker::Worker(ValidatorId validator, WorkerId worker_id, const Committee& commi
   pending_.author = validator_;
   pending_.worker = worker_id_;
 }
-
-Worker::~Worker() { *alive_ = false; }
 
 void Worker::OnStart() {}
 
@@ -48,12 +47,8 @@ void Worker::SubmitTransaction(uint64_t size_bytes, std::optional<TxSample> samp
     pending_.samples.push_back(*sample);
   }
   if (batch_timer_ == Scheduler::kInvalidTimer) {
-    batch_timer_ = network_->scheduler()->ScheduleAfter(
-        config_.max_batch_delay, [this, alive = alive_] {
-          if (*alive) {
-            MaybeSealBatch(true);
-          }
-        });
+    batch_timer_ =
+        Schedule(network_->scheduler(), config_.max_batch_delay, [this] { MaybeSealBatch(true); });
   }
   MaybeSealBatch(false);
 }
@@ -171,12 +166,8 @@ void Worker::DisseminateBatch(const std::shared_ptr<const Batch>& batch, const D
     }
     network_->Send(net_id_, topology_->worker_of[v][worker_id_], msg);
   }
-  flight.retry_timer = network_->scheduler()->ScheduleAfter(
-      config_.batch_retry_delay, [this, alive = alive_, digest] {
-        if (*alive) {
-          RetryBatch(digest);
-        }
-      });
+  flight.retry_timer =
+      Schedule(network_->scheduler(), kBatchRetry.Delay(0), [this, digest] { RetryBatch(digest); });
 }
 
 void Worker::RetryBatch(const Digest& digest) {
@@ -197,14 +188,9 @@ void Worker::RetryBatch(const Digest& digest) {
   NT_TRACE(tracer_, IncrRetryRound("batch_retry", digest, resent));
   // Exponential backoff: under asynchrony or crashes, re-transmission adapts
   // instead of flooding (TCP-like behaviour, paper §4.1).
-  flight.attempts = std::min(flight.attempts + 1, 6u);
-  TimeDelta delay = config_.batch_retry_delay << flight.attempts;
-  flight.retry_timer =
-      network_->scheduler()->ScheduleAfter(delay, [this, alive = alive_, digest] {
-        if (*alive) {
-          RetryBatch(digest);
-        }
-      });
+  ++flight.attempts;
+  flight.retry_timer = Schedule(network_->scheduler(), kBatchRetry.Delay(flight.attempts),
+                                [this, digest] { RetryBatch(digest); });
 }
 
 bool Worker::IsOwnPrimary(uint32_t from) const {
@@ -298,13 +284,8 @@ void Worker::HandleFetch(const MsgFetchBatch& fetch) {
   // through other validators on timeout.
   network_->Send(net_id_, topology_->worker_of[fetch.batch_author][worker_id_],
                  std::make_shared<MsgBatchRequest>(fetch.digest));
-  network_->scheduler()->ScheduleAfter(config_.sync_retry_delay,
-                                       [this, alive = alive_, d = fetch.digest,
-                                        a = fetch.batch_author] {
-                                         if (*alive) {
-                                           RetryFetch(d, a, 1);
-                                         }
-                                       });
+  Schedule(network_->scheduler(), kBatchFetch.Delay(0),
+           [this, d = fetch.digest, a = fetch.batch_author] { RetryFetch(d, a, 1); });
 }
 
 void Worker::RetryFetch(const Digest& digest, ValidatorId author, uint32_t attempt) {
@@ -319,13 +300,8 @@ void Worker::RetryFetch(const Digest& digest, ValidatorId author, uint32_t attem
   }
   network_->Send(net_id_, topology_->worker_of[target][worker_id_],
                  std::make_shared<MsgBatchRequest>(digest));
-  TimeDelta delay = config_.sync_retry_delay << std::min(attempt, 6u);
-  network_->scheduler()->ScheduleAfter(
-      delay, [this, alive = alive_, digest, author, attempt] {
-        if (*alive) {
-          RetryFetch(digest, author, attempt + 1);
-        }
-      });
+  Schedule(network_->scheduler(), kBatchFetch.Delay(attempt),
+           [this, digest, author, attempt] { RetryFetch(digest, author, attempt + 1); });
 }
 
 }  // namespace nt

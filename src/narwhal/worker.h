@@ -76,7 +76,6 @@ class Worker : public NetNode {
   Worker(ValidatorId validator, WorkerId worker_id, const Committee& committee,
          const NarwhalConfig& config, Network* network, const Topology* topology,
          Store* store, BatchDirectory* directory);
-  ~Worker() override;
 
   // Registers this worker's own net id once known.
   void set_net_id(uint32_t id) { net_id_ = id; }
@@ -163,9 +162,6 @@ class Worker : public NetNode {
   uint64_t batches_sealed_ = 0;
   uint64_t batches_acked_ = 0;
   uint64_t duplicate_txs_dropped_ = 0;
-
-  // Liveness flag captured by scheduled lambdas; see Primary::alive_.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace nt

@@ -6,6 +6,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
+
+#include "src/common/time.h"
+#include "src/sim/scheduler.h"
 
 namespace nt {
 
@@ -66,13 +70,30 @@ using MessagePtr = std::shared_ptr<const Message>;
 // timers scheduled on the shared Scheduler.
 class NetNode {
  public:
-  virtual ~NetNode() = default;
+  virtual ~NetNode() { *alive_ = false; }
 
   // Called when a message is delivered to this node.
   virtual void OnMessage(uint32_t from, const MessagePtr& msg) = 0;
 
   // Called once when the simulation starts.
   virtual void OnStart() {}
+
+ protected:
+  // Runs `fn` after `delay` unless this node was destroyed first. A
+  // crash-restart rebuilds a validator's nodes while their timers are still
+  // queued; those timers then fire as no-ops.
+  template <typename F>
+  Scheduler::TimerId Schedule(Scheduler* scheduler, TimeDelta delay, F&& fn) {
+    return scheduler->ScheduleAfter(delay, [alive = alive_, fn = std::forward<F>(fn)] {
+      if (*alive) {
+        fn();
+      }
+    });
+  }
+
+ private:
+  // Cleared by ~NetNode; shared with every callback queued through Schedule.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace nt

@@ -329,31 +329,19 @@ void Cluster::BuildHotStuff() {
       machine = network_->NewMachine();
     }
 
-    switch (config_.system) {
-      case SystemKind::kBaselineHs:
+    if (config_.system == SystemKind::kNarwhalHs) {
+      consensus_stores_[v] = MakeStore("consensus_" + std::to_string(v) + ".wal");
+      BuildNarwhalHs(v);
+    } else {
+      if (config_.system == SystemKind::kBaselineHs) {
         providers_[v] = std::make_unique<BaselineProvider>(v, shared_pool_.get());
-        break;
-      case SystemKind::kBatchedHs:
+      } else {
         providers_[v] = std::make_unique<BatchedProvider>(
             v, committee_, config_.narwhal.batch_size_bytes, config_.narwhal.max_batch_delay,
             kMaxDigestsPerBlock, &directory_);
-        break;
-      case SystemKind::kNarwhalHs: {
-        consensus_stores_[v] = MakeStore("consensus_" + std::to_string(v) + ".wal");
-        auto provider = std::make_unique<NarwhalProvider>(v, committee_, primaries_[v].get(),
-                                                          &directory_, config_.narwhal.gc_depth);
-        provider->set_store(consensus_stores_[v].get());
-        providers_[v] = std::move(provider);
-        break;
       }
-      default:
-        break;
-    }
-
-    hs_nodes_[v] = std::make_unique<HotStuff>(v, committee_, config_.hotstuff, network_.get(),
-                                              signers_[v].get(), providers_[v].get());
-    if (config_.system == SystemKind::kNarwhalHs) {
-      hs_nodes_[v]->set_store(consensus_stores_[v].get());
+      hs_nodes_[v] = std::make_unique<HotStuff>(v, committee_, network_.get(), signers_[v].get(),
+                                                providers_[v].get());
     }
     metrics_.RegisterCertCache(&hs_nodes_[v]->cert_cache());
     uint32_t net_id = network_->AddNode(hs_nodes_[v].get(), region, machine);
@@ -366,6 +354,16 @@ void Cluster::BuildHotStuff() {
   for (ValidatorId v = 0; v < n; ++v) {
     WireHotStuffValidator(v);
   }
+}
+
+void Cluster::BuildNarwhalHs(ValidatorId v) {
+  auto provider = std::make_unique<NarwhalProvider>(v, committee_, primaries_[v].get(),
+                                                    &directory_, config_.narwhal.gc_depth);
+  provider->set_store(consensus_stores_[v].get());
+  providers_[v] = std::move(provider);
+  hs_nodes_[v] = std::make_unique<HotStuff>(v, committee_, network_.get(), signers_[v].get(),
+                                            providers_[v].get());
+  hs_nodes_[v]->set_store(consensus_stores_[v].get());
 }
 
 void Cluster::WireHotStuffValidator(ValidatorId v) {
@@ -495,9 +493,9 @@ void Cluster::RebuildValidator(ValidatorId v) {
     metrics_.UnregisterCertCache(&hs_nodes_[v]->cert_cache());
   }
 
-  // Tear down top-down: the consensus layer references the primary. The
-  // destructors flip each object's alive flag, so timers the dead objects
-  // left in the scheduler fire as no-ops.
+  // Tear down top-down: the consensus layer references the primary.
+  // ~NetNode clears each node's liveness flag, so timers the dead nodes left
+  // in the scheduler fire as no-ops.
   if (!committers_.empty()) {
     committers_[v].reset();
   }
@@ -535,18 +533,11 @@ void Cluster::RebuildValidator(ValidatorId v) {
     BuildCommitter(v);
     committers_[v]->Recover();
   } else {  // kNarwhalHs (the only other SupportsRestart() system).
-    auto provider = std::make_unique<NarwhalProvider>(v, committee_, primaries_[v].get(),
-                                                      &directory_, config_.narwhal.gc_depth);
-    provider->set_store(consensus_stores_[v].get());
-    NarwhalProvider* np = provider.get();
-    providers_[v] = std::move(provider);
-    hs_nodes_[v] = std::make_unique<HotStuff>(v, committee_, config_.hotstuff, network_.get(),
-                                              signers_[v].get(), providers_[v].get());
+    BuildNarwhalHs(v);
     hs_nodes_[v]->set_net_id(consensus_net_ids_[v]);
-    hs_nodes_[v]->set_store(consensus_stores_[v].get());
     metrics_.RegisterCertCache(&hs_nodes_[v]->cert_cache());
     WireHotStuffValidator(v);
-    np->Recover();
+    static_cast<NarwhalProvider*>(providers_[v].get())->Recover();
     hs_nodes_[v]->Recover();
     network_->ReplaceNode(consensus_net_ids_[v], hs_nodes_[v].get());
   }

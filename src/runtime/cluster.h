@@ -57,7 +57,6 @@ struct ClusterConfig {
   TimeDelta uniform_hi = Millis(75);
 
   NarwhalConfig narwhal;
-  HotStuffConfig hotstuff;
   BullsharkConfig bullshark;
   NetworkConfig net;
 
@@ -210,6 +209,10 @@ class Cluster {
   }
   void BuildNarwhal();
   void BuildHotStuff();
+  // Builds validator `v`'s Narwhal-HS consensus pair on its current primary
+  // and consensus store: the NarwhalProvider and the HotStuff node it feeds.
+  // Called at build and again from RebuildValidator.
+  void BuildNarwhalHs(ValidatorId v);
   // Builds validator `v`'s DAG committer on its current primary, attaches
   // its consensus store, and registers the per-batch commit metrics hook —
   // called at build and again from RebuildValidator.

@@ -88,8 +88,9 @@ TEST(AsynchronyTest, CertifiedRetransmissionsBackOffExponentially) {
   // been erased — every reshare rescheduled itself at the *base* delay,
   // flooding one certificate per second per stuck proposal for as long as the
   // round stalled. With the attempt carried through the rescheduled lambda the
-  // reshare cadence is geometric (1, 3, 7, 15, 31 s...), so a ~20 s asynchrony
-  // stall sees at most ~5 reshare rounds per header instead of ~20.
+  // reshare waits follow kHeaderRetry (src/net/retransmit.h: 1, 2, 4, 8, 8 s),
+  // so retries fire at 1, 3, 7, 15, 23 s and a ~20 s asynchrony stall sees at
+  // most ~5 reshare rounds per header instead of ~20.
   ClusterConfig config;
   config.system = SystemKind::kTusk;
   config.num_validators = 4;
@@ -114,7 +115,7 @@ TEST(AsynchronyTest, CertifiedRetransmissionsBackOffExponentially) {
   // branch takes over).
   EXPECT_GT(tracer->counter("header_retry/rounds") + tracer->counter("cert_reshare/rounds"), 0u)
       << "a 20 s asynchrony stall must trigger some retransmission";
-  // Geometric bound: fire times 1,3,7,15,31 s past the proposal mean at most
+  // Geometric bound: fire times 1,3,7,15,23 s past the proposal mean at most
   // 5 rounds fit in the stall, on either path (the attempt counter is shared).
   EXPECT_LE(tracer->max_retry_rounds("cert_reshare"), 6u)
       << "certificate reshares grew linearly (storm) instead of backing off";

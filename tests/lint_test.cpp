@@ -761,18 +761,27 @@ void Run(Scheduler& scheduler, Acc& acc) {
 }
 
 TEST(DeferredCaptureRule, DefaultReferenceCaptureFires) {
-  FileReport r = LintSource("src/narwhal/worker.cpp", R"(
+  // Through the scheduler directly, and through NetNode::Schedule.
+  for (const char* src : {R"(
 void Worker::Arm() {
   network_->scheduler()->ScheduleAfter(delay_, [&] { Tick(); });
 }
-)");
-  EXPECT_EQ(CountRule(r, kRuleDeferredCapture), 1);
+)",
+                          R"(
+void Worker::Arm() {
+  batch_timer_ = Schedule(network_->scheduler(), delay_, [&] { Tick(); });
+}
+)"}) {
+    FileReport r = LintSource("src/narwhal/worker.cpp", src);
+    EXPECT_EQ(CountRule(r, kRuleDeferredCapture), 1) << src;
+  }
 }
 
 TEST(DeferredCaptureRule, StaleLiteralSelfRescheduleFires) {
   // The PR 2 RetryBroadcast storm: the retry re-arms itself with attempt 0
-  // instead of the captured counter, so the backoff never grows.
-  FileReport r = LintSource("src/narwhal/primary.cpp", R"(
+  // instead of the captured counter, so the backoff never grows. Written
+  // against the scheduler directly, and through NetNode::Schedule.
+  for (const char* src : {R"(
 void Primary::RetryBroadcast(Digest d, int attempt) {
   network_->scheduler()->ScheduleAfter(Backoff(attempt), [this, alive = alive_, d] {
     if (*alive) {
@@ -780,8 +789,18 @@ void Primary::RetryBroadcast(Digest d, int attempt) {
     }
   });
 }
-)");
-  EXPECT_EQ(CountRule(r, kRuleDeferredCapture), 1);
+)",
+                          R"(
+void Primary::RetryBroadcast(Digest d, Round r, uint32_t attempt) {
+  uint32_t retries = attempt + 1;
+  Schedule(network_->scheduler(), kHeaderRetry.Delay(retries), [this, d, r, retries] {
+    RetryBroadcast(d, r, 0);
+  });
+}
+)"}) {
+    FileReport r = LintSource("src/narwhal/primary.cpp", src);
+    EXPECT_EQ(CountRule(r, kRuleDeferredCapture), 1) << src;
+  }
 }
 
 TEST(DeferredCaptureRule, ValueCapturedRetryIsSilent) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
+
+#include "src/net/retransmit.h"
 
 namespace nt {
 namespace {
@@ -219,6 +222,71 @@ TEST(FaultControllerTest, EarliestReachableHandlesOverlaps) {
   EXPECT_EQ(faults.EarliestReachable(1, 2, Millis(20)), Millis(90));
   EXPECT_EQ(faults.EarliestReachable(1, 2, Millis(95)), Millis(95));
   EXPECT_EQ(faults.EarliestReachable(3, 4, Millis(20)), Millis(20));
+}
+
+// Exposes NetNode::Schedule. A firing counts in the node itself (so a
+// callback run after destruction is a use-after-free under ASan) and in
+// `*fired`, which outlives the node.
+struct TimerNode : NetNode {
+  int fires = 0;
+  void OnMessage(uint32_t, const MessagePtr&) override {}
+  void Arm(Scheduler* scheduler, TimeDelta delay, int* fired) {
+    Schedule(scheduler, delay, [this, fired] {
+      ++fires;
+      ++*fired;
+    });
+  }
+};
+
+TEST(NetNodeTest, ScheduleSkipsCallbacksOfDestroyedNode) {
+  Scheduler sched;
+  auto live = std::make_unique<TimerNode>();
+  auto dead = std::make_unique<TimerNode>();
+  int live_fired = 0;
+  int dead_fired = 0;
+  live->Arm(&sched, Millis(10), &live_fired);
+  dead->Arm(&sched, Millis(10), &dead_fired);
+  dead->Arm(&sched, Millis(20), &dead_fired);
+  dead.reset();  // Both of its callbacks are still queued.
+  sched.RunUntilIdle();
+  EXPECT_EQ(live_fired, 1);
+  EXPECT_EQ(dead_fired, 0);
+  EXPECT_EQ(sched.events_fired(), 3u);  // The skipped callbacks still fire as no-ops.
+}
+
+// Every named policy reproduces the waits its loop used before the policy was
+// shared: one row per loop, waits listed from the loop's first retry index.
+TEST(BackoffTest, NamedPoliciesKeepTheirWaitSequences) {
+  struct Row {
+    const char* name;
+    Backoff backoff;
+    uint32_t first_k;
+    std::vector<TimeDelta> waits;
+  };
+  const Row kRows[] = {
+      {"kHeaderRetry", kHeaderRetry, 0,
+       {Seconds(1), Seconds(2), Seconds(4), Seconds(8), Seconds(8)}},
+      {"kBatchRetry", kBatchRetry, 0,
+       {Millis(500), Seconds(1), Seconds(2), Seconds(4), Seconds(8), Seconds(16), Seconds(32),
+        Seconds(32)}},
+      {"kHeaderSync", kHeaderSync, 1,
+       {Millis(600), Millis(1200), Millis(2400), Millis(4800), Millis(9600), Millis(19200),
+        Millis(19200)}},
+      {"kBatchFetch", kBatchFetch, 0,
+       {Millis(300), Millis(600), Millis(1200), Millis(2400), Millis(4800), Millis(9600),
+        Millis(19200), Millis(19200)}},
+      {"kProposalRetry", kProposalRetry, 0,
+       {Millis(300), Millis(600), Millis(1200), Millis(2400), Millis(2400)}},
+      {"kBlockFetch", kBlockFetch, 0, {Millis(300), Millis(300), Millis(300)}},
+      {"kViewTimeout", kViewTimeout, 0,
+       {Seconds(1), Seconds(2), Seconds(4), Seconds(8), Seconds(8)}},
+  };
+  for (const Row& row : kRows) {
+    for (size_t i = 0; i < row.waits.size(); ++i) {
+      uint32_t k = row.first_k + static_cast<uint32_t>(i);
+      EXPECT_EQ(row.backoff.Delay(k), row.waits[i]) << row.name << " k=" << k;
+    }
+  }
 }
 
 }  // namespace
