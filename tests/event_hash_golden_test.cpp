@@ -99,11 +99,14 @@ TEST(EventHashGolden, FullStackSchedules) {
   // pinned to Bullshark restarts two validators (8 and 0), so the committer's
   // WAL recovery and post-recovery GC pruning are inside the hash; it and the
   // DAG-Rider run below were pinned while Tusk, Bullshark and DAG-Rider still
-  // had separate committers.
+  // had separate committers. Seed 1026 draws Narwhal-HS (n=7) with two
+  // restarts, validators 1 and 6, so the HotStuff and delivered-header WAL
+  // recovery of Narwhal-HS is inside the hash too.
   const Golden kGolden[] = {
       {11, 0x4bd8b782bd02b6a0ull, 11867, 215},
       {29, 0x08c56da43d040bc2ull, 4274, 73},
       {16, 0xdd4e9701e41c89a7ull, 12725, 317, SystemKind::kBullshark},
+      {1026, 0x235ceb9a179d2224ull, 10468, 282},
   };
   for (const Golden& g : kGolden) {
     CheckResult result = RunSchedule(GenerateSchedule(g.seed, g.system));
