@@ -236,50 +236,9 @@ void BatchedProvider::OnCommit(const HsPayload& payload, ValidatorId) {
 
 // ---------------------------------------------------------- NarwhalProvider
 
-namespace {
-// Consensus-store key for a delivered-header record. The 'N' tag is globally
-// unique within the store shared with the HotStuff core ('W'/'L'/'E'/'F'/
-// 'Q'/'K') and Tusk ('T'/'U').
-Digest ProviderCommitKey(const Digest& digest) {
-  Writer w;
-  w.PutU8('N');
-  w.PutRaw(digest);
-  return Sha256::Hash(w.bytes().data(), w.size());
-}
-}  // namespace
-
-NarwhalProvider::NarwhalProvider(ValidatorId id, const Committee& committee, Primary* primary,
-                                 BatchDirectory* directory, Round gc_depth)
-    : id_(id), committee_(committee), primary_(primary), directory_(directory),
-      gc_depth_(gc_depth) {
+NarwhalProvider::NarwhalProvider(Primary* primary, Round gc_depth)
+    : primary_(primary), gc_depth_(gc_depth), log_(primary) {
   primary_->add_on_header_stored([this](const Digest&) { DrainPending(); });
-}
-
-void NarwhalProvider::Recover() {
-  if (store_ == nullptr) {
-    return;
-  }
-  store_->ForEach([this](const Digest&, const Bytes& value) {
-    if (value.empty() || value[0] != 'N') {
-      return;
-    }
-    Reader r(value.data() + 1, value.size() - 1);
-    Digest digest = r.GetArray<32>();
-    if (!r.ok()) {
-      return;
-    }
-    if (committed_.insert(digest).second) {
-      ++committed_count_;
-    }
-  });
-  // Refresh the primary's commit bookkeeping for delivered headers the
-  // recovered DAG still holds, so committed batches are not re-injected.
-  for (const Digest& digest : committed_) {
-    auto header = primary_->dag().GetHeader(digest);
-    if (header != nullptr) {
-      primary_->NotifyCommitted(*header);
-    }
-  }
 }
 
 HsPayload NarwhalProvider::GetPayload(View) {
@@ -291,7 +250,7 @@ HsPayload NarwhalProvider::GetPayload(View) {
   const Dag& dag = primary_->dag();
   for (Round r = dag.HighestRound();; --r) {
     for (const auto& [author, cert] : dag.CertsAt(r)) {
-      if (committed_.count(cert.header_digest) == 0) {
+      if (!log_.IsDelivered(cert.header_digest)) {
         payload.certs.push_back(cert);
         return payload;
       }
@@ -317,7 +276,7 @@ bool NarwhalProvider::CheckPayload(const HsPayload& payload, uint32_t, std::func
 
 void NarwhalProvider::OnCommit(const HsPayload& payload, ValidatorId) {
   for (const Certificate& cert : payload.certs) {
-    pending_anchors_.push_back(cert.header_digest);
+    pending_anchors_.push_back(Anchor{cert.header_digest, cert.round});
     primary_->IngestCertificate(cert);
   }
   DrainPending();
@@ -326,54 +285,27 @@ void NarwhalProvider::OnCommit(const HsPayload& payload, ValidatorId) {
 void NarwhalProvider::DrainPending() {
   const Dag& dag = primary_->dag();
   while (!pending_anchors_.empty()) {
-    Digest anchor = pending_anchors_.front();
-    if (committed_.count(anchor) != 0) {
+    const Anchor anchor = pending_anchors_.front();
+    // An anchor already delivered, or below the GC horizon, is dropped. The
+    // horizon is a function of the delivered prefix, so every validator
+    // drops the same anchors.
+    if (log_.IsDelivered(anchor.digest) || anchor.round < dag.gc_round()) {
       pending_anchors_.pop_front();
       continue;
     }
-    Dag::History history = dag.CollectCausalHistory(anchor, committed_);
-    if (!history.missing.empty()) {
-      for (const Digest& missing : history.missing) {
-        primary_->SyncHeader(missing);
-      }
+    Dag::History history = dag.CollectCausalHistory(anchor.digest, log_.delivered());
+    if (!log_.Complete(history)) {
       return;  // Strictly in-order delivery: wait for sync.
     }
     pending_anchors_.pop_front();
-    DeliverHistory(history);
-  }
-}
-
-void NarwhalProvider::DeliverHistory(const Dag::History& history) {
-  const Dag& dag = primary_->dag();
-  Round max_round = 0;
-  for (const Digest& digest : history.ordered) {
-    auto header = dag.GetHeader(digest);
-    if (store_ != nullptr) {
-      // Write-ahead: durable before any hook or sink observes the delivery.
-      Writer w;
-      w.PutU8('N');
-      w.PutRaw(digest);
-      store_->Put(ProviderCommitKey(digest), w.Take());
+    // The anchor has the highest round of its own history.
+    const Round top = dag.GetHeader(anchor.digest)->round;
+    for (const Digest& digest : history.ordered) {
+      log_.Deliver(digest);
     }
-    committed_.insert(digest);
-    ++committed_count_;
-    max_round = std::max(max_round, header->round);
-    primary_->NotifyCommitted(*header);
-    for (const auto& hook : on_header_commit_hooks_) {
-      hook(digest, header);
+    if (top > gc_depth_) {
+      log_.Prune(top - gc_depth_);
     }
-    if (sink_ != nullptr) {
-      for (const BatchRef& ref : header->batches) {
-        const BatchDirectory::Info* info = directory_->Find(ref.digest);
-        ValidatorId author = info != nullptr ? info->author : header->author;
-        const std::vector<TxSample>* samples = info != nullptr ? &info->samples : nullptr;
-        static const std::vector<TxSample> kNoSamples;
-        sink_(author, ref.num_txs, ref.payload_bytes, samples ? *samples : kNoSamples);
-      }
-    }
-  }
-  if (max_round > gc_depth_) {
-    primary_->SetGcRound(max_round - gc_depth_);
   }
 }
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/hotstuff/messages.h"
+#include "src/narwhal/commit_log.h"
 #include "src/narwhal/primary.h"
 #include "src/narwhal/worker.h"
 #include "src/net/network.h"
@@ -179,8 +180,7 @@ class BatchedProvider : public PayloadProvider {
 
 class NarwhalProvider : public PayloadProvider {
  public:
-  NarwhalProvider(ValidatorId id, const Committee& committee, Primary* primary,
-                  BatchDirectory* directory, Round gc_depth);
+  NarwhalProvider(Primary* primary, Round gc_depth);
 
   HsPayload GetPayload(View view) override;
   bool CheckPayload(const HsPayload& payload, uint32_t proposer_net_id,
@@ -188,46 +188,36 @@ class NarwhalProvider : public PayloadProvider {
   void OnCommit(const HsPayload& payload, ValidatorId block_author) override;
 
   // Attaches the durable consensus store (non-owning, shared with the
-  // HotStuff core; null = ephemeral). Delivered-header records ('N' tag) are
-  // write-ahead persisted so a recovered validator never re-delivers — and
-  // never re-injects the batches of — a header it delivered pre-crash.
-  void set_store(Store* store) { store_ = store; }
+  // HotStuff core; null = ephemeral); it holds the commit log's records.
+  void set_store(Store* store) { log_.set_store(store); }
 
-  // Restores the delivered-header set from the store. Call after the
-  // primary's Recover() and before OnStart; delivers nothing itself but
-  // re-notifies the primary of delivered headers still in the DAG.
-  void Recover();
+  // Restores the commit log. Call after the primary's Recover() and before
+  // OnStart; delivers nothing itself.
+  void Recover() { log_.Recover(); }
 
-  uint64_t committed_headers() const { return committed_count_; }
+  CommitLog& log() { return log_; }
   // Anchors committed by consensus whose causal history is still syncing.
   size_t pending_anchor_count() const { return pending_anchors_.size(); }
 
   // Fired once per committed Narwhal header, in delivery order — the same
-  // total order every correct replica produces. Lets observers (DST checker,
-  // executors) consume the committed header stream without re-deriving the
-  // linearization. Multiple listeners run in registration order.
-  using HeaderCommitHook =
-      std::function<void(const Digest& digest, const std::shared_ptr<const BlockHeader>& header)>;
-  void add_on_header_commit(HeaderCommitHook hook) {
-    on_header_commit_hooks_.push_back(std::move(hook));
-  }
+  // total order every correct replica produces. Multiple listeners run in
+  // registration order.
+  void add_on_header_commit(CommitLog::Hook hook) { log_.add_hook(std::move(hook)); }
 
  private:
+  // A certificate HotStuff committed.
+  struct Anchor {
+    Digest digest{};
+    Round round = 0;
+  };
+
   // Processes queued anchors whose causal histories are now complete.
   void DrainPending();
-  void DeliverHistory(const Dag::History& history);
 
-  ValidatorId id_;
-  const Committee& committee_;
   Primary* primary_;
-  BatchDirectory* directory_;
   Round gc_depth_;
-  Store* store_ = nullptr;
-
-  std::set<Digest> committed_;
-  std::deque<Digest> pending_anchors_;  // Committed by consensus, awaiting sync.
-  uint64_t committed_count_ = 0;
-  std::vector<HeaderCommitHook> on_header_commit_hooks_;
+  CommitLog log_;
+  std::deque<Anchor> pending_anchors_;  // Committed by consensus, awaiting sync.
 };
 
 }  // namespace nt

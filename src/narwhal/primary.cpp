@@ -774,13 +774,13 @@ void Primary::SetGcRound(Round gc_round) {
   }
 }
 
-void Primary::NotifyCommitted(const BlockHeader& header) {
-  NT_TRACE(tracer_, OnHeaderCommitted(id_, header.ComputeDigest(), network_->scheduler()->now()));
+void Primary::NotifyCommitted(const Digest& digest, const BlockHeader& header) {
+  NT_TRACE(tracer_, OnHeaderCommitted(id_, digest, network_->scheduler()->now()));
   for (const BatchRef& ref : header.batches) {
     committed_batches_.insert(ref.digest);
   }
   if (header.author == id_) {
-    own_headers_.erase(header.ComputeDigest());
+    own_headers_.erase(digest);
   }
 }
 

@@ -81,8 +81,8 @@ class Primary : public NetNode {
   // uncommitted batches (paper §3.3).
   void SetGcRound(Round gc_round);
 
-  // Consensus committed this header; its batches need no re-injection.
-  void NotifyCommitted(const BlockHeader& header);
+  // Consensus committed header `digest`; its batches need no re-injection.
+  void NotifyCommitted(const Digest& digest, const BlockHeader& header);
 
   // Consensus is missing a header for a known certificate: pull it from the
   // certificate's signers (no-op if already stored or already being pulled).

@@ -92,10 +92,12 @@ Cluster::Cluster(const ClusterConfig& config)
       BuildHotStuff();
       break;
   }
-  if (config_.exec_lanes > 0 && narwhal_based) {
-    executors_.resize(config_.num_validators);
+  if (narwhal_based) {
+    if (config_.exec_lanes > 0) {
+      executors_.resize(config_.num_validators);
+    }
     for (ValidatorId v = 0; v < config_.num_validators; ++v) {
-      WireExecutorFor(v);
+      WireCommitHooks(v);
     }
   } else if (config_.exec_lanes > 0) {
     LOG_ERROR() << "exec_lanes ignored for " << SystemName(config_.system)
@@ -106,7 +108,21 @@ Cluster::Cluster(const ClusterConfig& config)
   }
 }
 
-void Cluster::WireExecutorFor(ValidatorId v) {
+void Cluster::WireCommitHooks(ValidatorId v) {
+  CommitLog* log = commit_log(v);
+  // Convert per-header commits into per-batch metrics via the directory.
+  log->add_hook([this, v](const Digest&, const std::shared_ptr<const BlockHeader>& header) {
+    for (const BatchRef& ref : header->batches) {
+      const BatchDirectory::Info* info = directory_.Find(ref.digest);
+      ValidatorId owner = info != nullptr ? info->author : header->author;
+      static const std::vector<TxSample> kNoSamples;
+      metrics_.OnCommit(v, owner, ref.num_txs, ref.payload_bytes,
+                        info != nullptr ? info->samples : kNoSamples);
+    }
+  });
+  if (executors_.empty()) {
+    return;
+  }
   if (executors_[v] == nullptr) {
     // Resolve the worker at fetch time: a restarted validator's Worker is a
     // new object, and a raw pointer captured here would dangle.
@@ -119,20 +135,20 @@ void Cluster::WireExecutorFor(ValidatorId v) {
                           executor->cross_shard_txs());
     });
   }
-  auto on_committed = [this, v](const std::shared_ptr<const BlockHeader>& header) {
+  log->add_hook([this, v](const Digest&, const std::shared_ptr<const BlockHeader>& header) {
     executors_[v]->OnCommittedHeader(header);
     executors_[v]->RetryPending();
-  };
+  });
+}
+
+CommitLog* Cluster::commit_log(ValidatorId v) {
   if (WaveCommitter* dag_committer = committer(v)) {
-    dag_committer->add_on_commit(
-        [on_committed](const WaveCommitter::Committed& c) { on_committed(c.header); });
-  } else {  // kNarwhalHs (the only other system with execution lanes).
-    static_cast<NarwhalProvider*>(providers_[v].get())
-        ->add_on_header_commit(
-            [on_committed](const Digest&, const std::shared_ptr<const BlockHeader>& header) {
-              on_committed(header);
-            });
+    return &dag_committer->log();
   }
+  if (config_.system == SystemKind::kNarwhalHs) {
+    return &static_cast<NarwhalProvider*>(providers_[v].get())->log();
+  }
+  return nullptr;
 }
 
 void Cluster::AttachTracer() {
@@ -357,8 +373,8 @@ void Cluster::BuildHotStuff() {
 }
 
 void Cluster::BuildNarwhalHs(ValidatorId v) {
-  auto provider = std::make_unique<NarwhalProvider>(v, committee_, primaries_[v].get(),
-                                                    &directory_, config_.narwhal.gc_depth);
+  auto provider =
+      std::make_unique<NarwhalProvider>(primaries_[v].get(), config_.narwhal.gc_depth);
   provider->set_store(consensus_stores_[v].get());
   providers_[v] = std::move(provider);
   hs_nodes_[v] = std::make_unique<HotStuff>(v, committee_, network_.get(), signers_[v].get(),
@@ -398,17 +414,6 @@ void Cluster::BuildCommitter(ValidatorId v) {
       break;
   }
   committers_[v]->set_store(consensus_store(v));
-  // Convert per-header commits into per-batch metrics via the directory.
-  committers_[v]->add_on_commit([this, v](const WaveCommitter::Committed& committed) {
-    const BlockHeader& header = *committed.header;
-    for (const BatchRef& ref : header.batches) {
-      const BatchDirectory::Info* info = directory_.Find(ref.digest);
-      ValidatorId owner = info != nullptr ? info->author : header.author;
-      static const std::vector<TxSample> kNoSamples;
-      metrics_.OnCommit(v, owner, ref.num_txs, ref.payload_bytes,
-                        info != nullptr ? info->samples : kNoSamples);
-    }
-  });
 }
 
 void Cluster::Start() { network_->Start(); }
@@ -542,12 +547,10 @@ void Cluster::RebuildValidator(ValidatorId v) {
     network_->ReplaceNode(consensus_net_ids_[v], hs_nodes_[v].get());
   }
 
+  // The commit hooks died with the old consensus object; re-register them.
   // The executor object survived the rebuild (it is the validator's
-  // application state; commits are not re-delivered across a recovery), but
-  // its commit hook died with the old consensus object — re-register it.
-  if (!executors_.empty()) {
-    WireExecutorFor(v);
-  }
+  // application state; commits are not re-delivered across a recovery).
+  WireCommitHooks(v);
 
   // Tracing re-attaches only after recovery, so replayed records do not get
   // re-stamped as fresh protocol events.

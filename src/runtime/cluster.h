@@ -179,6 +179,10 @@ class Cluster {
   PayloadProvider* provider(ValidatorId v) {
     return providers_.empty() ? nullptr : providers_[v].get();
   }
+  // Validator `v`'s delivered-header log, for every Narwhal-based system
+  // (the committer's, or Narwhal-HS's provider's); nullptr for the HotStuff
+  // baselines. Resolved at call time, so it follows restarts.
+  CommitLog* commit_log(ValidatorId v);
   // Validator `v`'s execution lanes; nullptr unless config.exec_lanes > 0 on
   // a Narwhal-based system. The executor object survives RestartValidator
   // rebuilds (commits are not re-delivered across a recovery, so its state
@@ -213,15 +217,15 @@ class Cluster {
   // and consensus store: the NarwhalProvider and the HotStuff node it feeds.
   // Called at build and again from RebuildValidator.
   void BuildNarwhalHs(ValidatorId v);
-  // Builds validator `v`'s DAG committer on its current primary, attaches
-  // its consensus store, and registers the per-batch commit metrics hook —
-  // called at build and again from RebuildValidator.
+  // Builds validator `v`'s DAG committer on its current primary and
+  // attaches its consensus store — called at build and again from
+  // RebuildValidator.
   void BuildCommitter(ValidatorId v);
-  // Creates validator `v`'s ShardedExecutor on first call and (re-)registers
-  // its commit-stream hook on the current consensus object — called at build
-  // and again from RebuildValidator, where the old hook died with the old
-  // consensus node.
-  void WireExecutorFor(ValidatorId v);
+  // Registers validator `v`'s commit-log hooks: per-batch commit metrics,
+  // then (with execution lanes) its ShardedExecutor, created on first call —
+  // called at build and again from RebuildValidator, where the old hooks
+  // died with the old consensus object.
+  void WireCommitHooks(ValidatorId v);
   void WireHotStuffValidator(ValidatorId v);
   void AttachTracer();
   void RegisterTraceGauges();

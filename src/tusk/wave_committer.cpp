@@ -7,91 +7,57 @@ namespace nt {
 
 WaveCommitter::WaveCommitter(Primary* primary, const Committee& committee,
                              std::optional<Round> gc_depth, CounterNames counters)
-    : primary_(primary), committee_(committee), gc_depth_(gc_depth), counters_(counters) {
+    : primary_(primary),
+      committee_(committee),
+      gc_depth_(gc_depth),
+      counters_(counters),
+      log_(primary) {
   primary_->add_on_certificate([this](const Certificate& cert) { OnCertificate(cert); });
   primary_->add_on_header_stored([this](const Digest& digest) { OnHeaderStored(digest); });
+}
+
+void WaveCommitter::add_on_commit(std::function<void(const Committed&)> hook) {
+  log_.add_hook([this, hook = std::move(hook)](const Digest& digest,
+                                               const std::shared_ptr<const BlockHeader>& header) {
+    hook(Committed{digest, header, delivering_wave_, delivering_anchor_round_});
+  });
 }
 
 // ---------------------------------------------------------------- persistence
 
 namespace {
-// Consensus-store records: 'T' commit entries (one per delivered header),
-// 'U' meta (wave cursor, then the rule's own state). A validator runs one
-// consensus, so its store holds one committer's records next to nothing
-// else with these tags.
-Digest CommitKey(const Digest& digest) {
-  Writer w;
-  w.PutU8('T');
-  w.PutRaw(digest);
-  return Sha256::Hash(w.bytes().data(), w.size());
-}
+// The 'U' meta record: the wave cursor, then the rule's own state. The
+// delivered headers' 'T' records are the commit log's.
 Digest MetaKey() { return Sha256::Hash(std::string_view("wave/meta")); }
 }  // namespace
 
-void WaveCommitter::PersistCommit(const Digest& digest, Round round) {
-  if (store_ == nullptr) {
-    return;
-  }
-  Writer w;
-  w.PutU8('T');
-  w.PutU64(round);
-  w.PutRaw(digest);
-  store_->Put(CommitKey(digest), w.Take());
-}
-
 void WaveCommitter::PersistMeta() {
-  if (store_ == nullptr) {
+  Store* store = log_.store();
+  if (store == nullptr) {
     return;
   }
   Writer w;
   w.PutU8('U');
   w.PutU64(last_committed_wave_);
   SaveState(w);
-  store_->Put(MetaKey(), w.Take());
-  store_->Sync();
+  store->Put(MetaKey(), w.Take());
+  store->Sync();
 }
 
 void WaveCommitter::Recover() {
-  if (store_ == nullptr) {
+  if (log_.store() == nullptr) {
     return;
   }
-  const Round gc_round = primary_->dag().gc_round();
-  store_->ForEach([&](const Digest&, const Bytes& value) {
-    if (value.empty()) {
+  log_.store()->ForEach([&](const Digest&, const Bytes& value) {
+    if (value.empty() || value[0] != 'U') {
       return;
     }
     Reader r(value.data() + 1, value.size() - 1);
-    switch (value[0]) {
-      case 'T': {
-        Round round = static_cast<Round>(r.GetU64());
-        Digest digest = r.GetArray<32>();
-        if (!r.ok() || round < gc_round) {
-          break;
-        }
-        if (committed_.insert(digest).second) {
-          committed_by_round_[round].push_back(digest);
-          ++committed_count_;
-        }
-        break;
-      }
-      case 'U':
-        last_committed_wave_ = r.GetU64();
-        LoadState(r);
-        break;
-      default:
-        break;
-    }
+    last_committed_wave_ = r.GetU64();
+    LoadState(r);
   });
   last_skip_counted_ = last_committed_wave_;
-  // Refresh the primary's commit bookkeeping (committed batches, own-header
-  // re-injection) for committed headers the recovered DAG still holds; the
-  // crash-restart must not cause committed payload to be re-injected.
-  for (const Digest& digest : committed_) {
-    auto header = primary_->dag().GetHeader(digest);
-    if (header != nullptr) {
-      primary_->NotifyCommitted(*header);
-    }
-  }
+  log_.Recover();
 }
 
 // ---------------------------------------------------------------- commit rule
@@ -142,20 +108,13 @@ void WaveCommitter::TryCommit() {
   }
 }
 
-bool WaveCommitter::Complete(const Dag::History& history) {
-  for (const Digest& missing : history.missing) {
-    primary_->SyncHeader(missing);
-  }
-  return history.missing.empty();
-}
-
 bool WaveCommitter::CommitChain(uint64_t wave, const Certificate& anchor) {
   const Dag& dag = primary_->dag();
 
   // The anchor's entire causal history must be local before the walk below:
   // HasPath must not mistake a missing header for a missing path, or we
   // could skip an anchor another validator committed.
-  if (!Complete(dag.CollectCausalHistory(anchor.header_digest, committed_))) {
+  if (!log_.Complete(dag.CollectCausalHistory(anchor.header_digest, log_.delivered()))) {
     return false;
   }
 
@@ -179,11 +138,11 @@ bool WaveCommitter::CommitChain(uint64_t wave, const Certificate& anchor) {
 
   // First pass: linearize every anchor's history against what the earlier
   // anchors of the chain will already have delivered.
-  std::set<Digest> virtual_committed = committed_;
+  std::set<Digest> virtual_committed = log_.delivered();
   std::vector<std::pair<const Certificate*, Dag::History>> histories;
   for (const Certificate* link : chain) {
     Dag::History history = dag.CollectCausalHistory(link->header_digest, virtual_committed);
-    if (!Complete(history)) {
+    if (!log_.Complete(history)) {
       return false;
     }
     virtual_committed.insert(history.ordered.begin(), history.ordered.end());
@@ -191,26 +150,11 @@ bool WaveCommitter::CommitChain(uint64_t wave, const Certificate& anchor) {
   }
 
   // Second pass: deliver.
+  delivering_wave_ = wave;
   for (auto& [link, history] : histories) {
+    delivering_anchor_round_ = link->round;
     for (const Digest& digest : history.ordered) {
-      auto header = dag.GetHeader(digest);
-      // Write-ahead: the commit record is durable before any hook (metrics,
-      // executor, checker) observes the delivery.
-      PersistCommit(digest, header->round);
-      committed_.insert(digest);
-      committed_by_round_[header->round].push_back(digest);
-      ++committed_count_;
-      primary_->NotifyCommitted(*header);
-      if (!on_commit_hooks_.empty()) {
-        Committed out;
-        out.digest = digest;
-        out.header = header;
-        out.wave = wave;
-        out.anchor_round = link->round;
-        for (const auto& hook : on_commit_hooks_) {
-          hook(out);
-        }
-      }
+      log_.Deliver(digest);
     }
   }
   OnWavesSettled(last_committed_wave_, wave);
@@ -222,24 +166,9 @@ bool WaveCommitter::CommitChain(uint64_t wave, const Certificate& anchor) {
   // anchor round (paper §3.3).
   Round anchor_round = AnchorRound(wave);
   if (gc_depth_.has_value() && anchor_round > *gc_depth_) {
-    Round gc_round = anchor_round - *gc_depth_;
-    primary_->SetGcRound(gc_round);
-    PruneCommitted(gc_round);
+    log_.Prune(anchor_round - *gc_depth_);
   }
   return true;
-}
-
-void WaveCommitter::PruneCommitted(Round gc_round) {
-  for (auto it = committed_by_round_.begin();
-       it != committed_by_round_.end() && it->first < gc_round;) {
-    for (const Digest& d : it->second) {
-      committed_.erase(d);
-      if (store_ != nullptr) {
-        store_->Erase(CommitKey(d));
-      }
-    }
-    it = committed_by_round_.erase(it);
-  }
 }
 
 }  // namespace nt

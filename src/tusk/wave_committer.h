@@ -14,10 +14,9 @@
 // Nothing is decided on an incomplete history: missing headers are
 // requested and the commit waits for them (the paper's "conservative
 // synchronization"), so HasPath never mistakes a missing header for a
-// missing path. A commit record is made durable before any hook observes a
-// delivery, recovery restores the committed set and the wave cursor from
-// those records, and records below the garbage-collection horizon are
-// erased as it advances.
+// missing path. Delivery, its durable records and their pruning are the
+// shared CommitLog's (src/narwhal/commit_log.h); this class persists only
+// the wave cursor and the rule's state ('U' meta record).
 //
 // A protocol subclass supplies only its rule: the anchor round and author
 // of wave w, the round that decides w, whether w may be decided yet, the
@@ -26,14 +25,11 @@
 #define SRC_TUSK_WAVE_COMMITTER_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
-#include <vector>
 
 #include "src/common/codec.h"
-#include "src/narwhal/primary.h"
+#include "src/narwhal/commit_log.h"
 
 namespace nt {
 
@@ -53,21 +49,15 @@ class WaveCommitter {
   WaveCommitter& operator=(const WaveCommitter&) = delete;
 
   // Registers a delivery callback: fired once per committed header, in total
-  // order. Multiple listeners may register (metrics, applications, tests).
-  void add_on_commit(std::function<void(const Committed&)> hook) {
-    on_commit_hooks_.push_back(std::move(hook));
-  }
+  // order, through the commit log's hook list.
+  void add_on_commit(std::function<void(const Committed&)> hook);
 
   // Attaches the durable consensus store (non-owning; null = ephemeral).
-  // Commit records are write-ahead persisted so a recovered validator never
-  // re-delivers a header it committed pre-crash.
-  void set_store(Store* store) { store_ = store; }
+  void set_store(Store* store) { log_.set_store(store); }
 
-  // Restores the committed set, the wave cursor and the rule's own state
-  // from the store. Call after the primary's own Recover() (GC filtering
-  // reads its horizon) and before hooks fire; recovery itself delivers
-  // nothing. Re-notifies the primary of committed headers still in the DAG
-  // so batch re-injection bookkeeping survives the crash too.
+  // Restores the commit log, the wave cursor and the rule's own state from
+  // the store. Call after the primary's own Recover() and before hooks fire;
+  // recovery itself delivers nothing.
   void Recover();
 
   // Re-evaluates the commit rule over the recovered DAG (post-rejoin
@@ -82,8 +72,9 @@ class WaveCommitter {
   // come from Primary::NotifyCommitted).
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
+  CommitLog& log() { return log_; }
   uint64_t last_committed_wave() const { return last_committed_wave_; }
-  uint64_t committed_headers() const { return committed_count_; }
+  uint64_t committed_headers() const { return log_.delivered_count(); }
   // Waves whose anchor was present but lacked support when first decided.
   uint64_t skipped_anchors() const { return skipped_anchors_; }
 
@@ -120,7 +111,7 @@ class WaveCommitter {
   // ---- for rules ----
   const Dag& dag() const { return primary_->dag(); }
   const Committee& committee() const { return committee_; }
-  bool IsCommitted(const Digest& digest) const { return committed_.count(digest) != 0; }
+  bool IsCommitted(const Digest& digest) const { return log_.IsDelivered(digest); }
   // Number of round-`round` certificates whose header lists `anchor` as a
   // parent. Unknown headers can only undercount; sync re-triggers the rule.
   uint32_t DirectVotes(Round round, const Digest& anchor) const;
@@ -131,11 +122,6 @@ class WaveCommitter {
   // Commits the anchor chain ending at wave `wave`. Returns false if the
   // commit had to be deferred on missing headers (sync requested).
   bool CommitChain(uint64_t wave, const Certificate& anchor);
-  // True if `history` is locally complete; otherwise requests every missing
-  // header and returns false.
-  bool Complete(const Dag::History& history);
-  void PruneCommitted(Round gc_round);
-  void PersistCommit(const Digest& digest, Round round);
   void PersistMeta();
 
   Primary* primary_;
@@ -144,15 +130,13 @@ class WaveCommitter {
   CounterNames counters_;
   Tracer* tracer_ = nullptr;
 
-  Store* store_ = nullptr;
+  CommitLog log_;
   uint64_t last_committed_wave_ = 0;
-  std::set<Digest> committed_;
-  std::map<Round, std::vector<Digest>> committed_by_round_;
-  uint64_t committed_count_ = 0;
   uint64_t skipped_anchors_ = 0;
   uint64_t last_skip_counted_ = 0;
-
-  std::vector<std::function<void(const Committed&)>> on_commit_hooks_;
+  // The wave and anchor round of the delivery in progress, for the hooks.
+  uint64_t delivering_wave_ = 0;
+  Round delivering_anchor_round_ = 0;
 };
 
 }  // namespace nt

@@ -54,22 +54,11 @@ RecoveryRun RunWithRestart(SystemKind system, uint64_t seed) {
         run.authored[{header->round, header->author}].insert(digest);
       }
     });
-    auto on_commit = [&run, &cluster, v](const Digest& digest) {
-      run.commits[v].push_back(digest);
-      run.last_commit[v] = cluster.scheduler().now();
-    };
-    if (cluster.tusk(v) != nullptr) {
-      cluster.tusk(v)->add_on_commit(
-          [on_commit](const Tusk::Committed& c) { on_commit(c.digest); });
-    } else if (cluster.bullshark(v) != nullptr) {
-      cluster.bullshark(v)->add_on_commit(
-          [on_commit](const Bullshark::Committed& c) { on_commit(c.digest); });
-    } else if (auto* np = dynamic_cast<NarwhalProvider*>(cluster.provider(v))) {
-      np->add_on_header_commit(
-          [on_commit](const Digest& d, const std::shared_ptr<const BlockHeader>&) {
-            on_commit(d);
-          });
-    }
+    cluster.commit_log(v)->add_hook(
+        [&run, &cluster, v](const Digest& digest, const std::shared_ptr<const BlockHeader>&) {
+          run.commits[v].push_back(digest);
+          run.last_commit[v] = cluster.scheduler().now();
+        });
   };
   for (ValidatorId v = 0; v < 4; ++v) {
     wire(v);
