@@ -236,9 +236,56 @@ void BatchedProvider::OnCommit(const HsPayload& payload, ValidatorId) {
 
 // ---------------------------------------------------------- NarwhalProvider
 
+namespace {
+// Consensus-store key of a queued anchor's 'A' record, by commit sequence.
+Digest AnchorKey(uint64_t seq) {
+  Writer w;
+  w.PutU8('A');
+  w.PutU64(seq);
+  return Sha256::Hash(w.bytes().data(), w.size());
+}
+}  // namespace
+
 NarwhalProvider::NarwhalProvider(Primary* primary, Round gc_depth)
     : primary_(primary), gc_depth_(gc_depth), log_(primary) {
   primary_->add_on_header_stored([this](const Digest&) { DrainPending(); });
+}
+
+void NarwhalProvider::Recover() {
+  if (log_.store() == nullptr) {
+    return;
+  }
+  log_.Recover();
+  std::map<uint64_t, Anchor> queued;
+  log_.store()->ForEach([&](const Digest&, const Bytes& value) {
+    if (value.empty() || value[0] != 'A') {
+      return;
+    }
+    Reader r(value.data() + 1, value.size() - 1);
+    Anchor anchor;
+    anchor.seq = r.GetU64();
+    anchor.digest = r.GetArray<32>();
+    anchor.round = static_cast<Round>(r.GetU64());
+    if (r.ok()) {
+      queued.emplace(anchor.seq, anchor);
+    }
+  });
+  for (const auto& [seq, anchor] : queued) {
+    pending_anchors_.push_back(anchor);
+    next_anchor_seq_ = seq + 1;
+  }
+}
+
+void NarwhalProvider::PersistAnchor(const Anchor& anchor) {
+  if (log_.store() == nullptr) {
+    return;
+  }
+  Writer w;
+  w.PutU8('A');
+  w.PutU64(anchor.seq);
+  w.PutRaw(anchor.digest);
+  w.PutU64(anchor.round);
+  log_.store()->Put(AnchorKey(anchor.seq), w.Take());
 }
 
 HsPayload NarwhalProvider::GetPayload(View) {
@@ -276,7 +323,9 @@ bool NarwhalProvider::CheckPayload(const HsPayload& payload, uint32_t, std::func
 
 void NarwhalProvider::OnCommit(const HsPayload& payload, ValidatorId) {
   for (const Certificate& cert : payload.certs) {
-    pending_anchors_.push_back(Anchor{cert.header_digest, cert.round});
+    Anchor anchor{next_anchor_seq_++, cert.header_digest, cert.round};
+    PersistAnchor(anchor);
+    pending_anchors_.push_back(anchor);
     primary_->IngestCertificate(cert);
   }
   DrainPending();
@@ -291,20 +340,25 @@ void NarwhalProvider::DrainPending() {
     // drops the same anchors.
     if (log_.IsDelivered(anchor.digest) || anchor.round < dag.gc_round()) {
       pending_anchors_.pop_front();
-      continue;
+    } else {
+      Dag::History history = dag.CollectCausalHistory(anchor.digest, log_.delivered());
+      if (!log_.Complete(history)) {
+        return;  // Strictly in-order delivery: wait for sync.
+      }
+      pending_anchors_.pop_front();
+      // The anchor has the highest round of its own history.
+      const Round top = dag.GetHeader(anchor.digest)->round;
+      for (const Digest& digest : history.ordered) {
+        log_.Deliver(digest);
+      }
+      if (top > gc_depth_) {
+        log_.Prune(top - gc_depth_);
+      }
     }
-    Dag::History history = dag.CollectCausalHistory(anchor.digest, log_.delivered());
-    if (!log_.Complete(history)) {
-      return;  // Strictly in-order delivery: wait for sync.
-    }
-    pending_anchors_.pop_front();
-    // The anchor has the highest round of its own history.
-    const Round top = dag.GetHeader(anchor.digest)->round;
-    for (const Digest& digest : history.ordered) {
-      log_.Deliver(digest);
-    }
-    if (top > gc_depth_) {
-      log_.Prune(top - gc_depth_);
+    // Erased only after delivery: a crash in between re-queues an anchor
+    // that the next drain finds delivered.
+    if (log_.store() != nullptr) {
+      log_.store()->Erase(AnchorKey(anchor.seq));
     }
   }
 }

@@ -185,15 +185,21 @@ class NarwhalProvider : public PayloadProvider {
   HsPayload GetPayload(View view) override;
   bool CheckPayload(const HsPayload& payload, uint32_t proposer_net_id,
                     std::function<void()> ready) override;
+  // Queues the committed anchors, each behind a write-ahead 'A' record, then
+  // delivers every queued anchor whose causal history is complete.
   void OnCommit(const HsPayload& payload, ValidatorId block_author) override;
+  // Delivers the anchors Recover() re-queued.
+  void OnStart() override { DrainPending(); }
 
   // Attaches the durable consensus store (non-owning, shared with the
-  // HotStuff core; null = ephemeral); it holds the commit log's records.
+  // HotStuff core; null = ephemeral). It holds the commit log's records and
+  // an 'A' record per anchor committed but not yet delivered.
   void set_store(Store* store) { log_.set_store(store); }
 
-  // Restores the commit log. Call after the primary's Recover() and before
-  // OnStart; delivers nothing itself.
-  void Recover() { log_.Recover(); }
+  // Restores the commit log and re-queues the undelivered anchors in commit
+  // order. Call after the primary's Recover() and before OnStart; delivers
+  // nothing itself.
+  void Recover();
 
   CommitLog& log() { return log_; }
   // Anchors committed by consensus whose causal history is still syncing.
@@ -205,19 +211,23 @@ class NarwhalProvider : public PayloadProvider {
   void add_on_header_commit(CommitLog::Hook hook) { log_.add_hook(std::move(hook)); }
 
  private:
-  // A certificate HotStuff committed.
+  // A certificate HotStuff committed; `seq` keeps commit order across a
+  // restart.
   struct Anchor {
+    uint64_t seq = 0;
     Digest digest{};
     Round round = 0;
   };
 
   // Processes queued anchors whose causal histories are now complete.
   void DrainPending();
+  void PersistAnchor(const Anchor& anchor);
 
   Primary* primary_;
   Round gc_depth_;
   CommitLog log_;
   std::deque<Anchor> pending_anchors_;  // Committed by consensus, awaiting sync.
+  uint64_t next_anchor_seq_ = 0;
 };
 
 }  // namespace nt

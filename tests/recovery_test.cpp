@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -35,7 +36,9 @@ struct RecoveryRun {
   uint64_t rebuilt_calls = 0;
 };
 
-RecoveryRun RunWithRestart(SystemKind system, uint64_t seed) {
+// `setup` (optional) adds faults or probes before the cluster starts.
+RecoveryRun RunWithRestart(SystemKind system, uint64_t seed,
+                           const std::function<void(Cluster&)>& setup = nullptr) {
   RecoveryRun run;
   ClusterConfig config;
   config.system = system;
@@ -76,6 +79,9 @@ RecoveryRun RunWithRestart(SystemKind system, uint64_t seed) {
   for (ValidatorId v = 0; v < 4; ++v) {
     run.clients.push_back(std::make_unique<LoadGenerator>(&cluster, v, 0, options));
     run.clients.back()->Start();
+  }
+  if (setup) {
+    setup(cluster);
   }
   cluster.Start();
   cluster.scheduler().RunUntil(kRunEnd);
@@ -143,6 +149,23 @@ TEST(RecoveryTest, NarwhalHsValidatorRestartsAndRejoins) {
   RecoveryRun run = RunWithRestart(SystemKind::kNarwhalHs, 8);
   ExpectCleanRejoin(run);
   EXPECT_GT(run.commits[0].size(), 10u);
+}
+
+TEST(RecoveryTest, NarwhalHsRestartKeepsQueuedAnchors) {
+  // Under 10% loss, seed 179 has the victim crash while HotStuff has
+  // committed anchors that its provider still queues behind headers being
+  // synced. Recovery must deliver those anchors in their commit order;
+  // forgetting them orders their headers inside a later anchor's history,
+  // differently from every peer.
+  size_t queued_at_crash = 0;
+  RecoveryRun run = RunWithRestart(SystemKind::kNarwhalHs, 179, [&queued_at_crash](Cluster& c) {
+    c.faults().SetLossRate(0.1);
+    c.scheduler().ScheduleAt(kCrashAt - 1, [&c, &queued_at_crash] {
+      queued_at_crash = static_cast<NarwhalProvider*>(c.provider(kVictim))->pending_anchor_count();
+    });
+  });
+  EXPECT_GT(queued_at_crash, 0u);
+  ExpectCleanRejoin(run);
 }
 
 TEST(RecoveryTest, RestartIsDeterministic) {
