@@ -876,255 +876,6 @@ FileFacts ExtractFactsFromDisk(const std::string& path) {
   return ExtractFacts(path, buf.str(), have_companion ? &companion_content : nullptr);
 }
 
-// ------------------------------------------------------------- serialization
-//
-// Tab-separated records, one per line; 'U' opens a new file block. This is
-// the wire format between forked --jobs workers and the parent; the parent
-// re-assembles FileFacts in file order, so the merged model (and therefore
-// the output) is byte-identical to a sequential run.
-
-namespace {
-
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\t': out += "\\t"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string Unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out += s[i];
-      continue;
-    }
-    ++i;
-    switch (s[i]) {
-      case '\\': out += '\\'; break;
-      case 't': out += '\t'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      default: out += s[i];
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> SplitFields(const std::string& line) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    size_t tab = line.find('\t', start);
-    if (tab == std::string::npos) {
-      fields.push_back(Unescape(line.substr(start)));
-      break;
-    }
-    fields.push_back(Unescape(line.substr(start, tab - start)));
-    start = tab + 1;
-  }
-  return fields;
-}
-
-std::string OpsField(const std::vector<FactOp>& ops) {
-  if (ops.empty()) {
-    return "-";
-  }
-  std::string out;
-  for (const FactOp& op : ops) {
-    if (!out.empty()) {
-      out += ';';
-    }
-    out += op.kind + "@" + std::to_string(op.line);
-  }
-  return out;
-}
-
-bool ParseOpsField(const std::string& field, std::vector<FactOp>* ops) {
-  if (field == "-") {
-    return true;
-  }
-  std::stringstream ss(field);
-  std::string item;
-  while (std::getline(ss, item, ';')) {
-    size_t at = item.rfind('@');
-    if (at == std::string::npos || at == 0) {
-      return false;
-    }
-    ops->push_back(FactOp{item.substr(0, at), std::atoi(item.c_str() + at + 1)});
-  }
-  return true;
-}
-
-void EmitRecordLine(std::ostringstream& out, char head, const FactRecord& r) {
-  out << head << '\t' << Escape(r.owner) << '\t' << static_cast<int>(r.tag) << '\t' << r.line
-      << '\t' << OpsField(r.ops) << '\n';
-}
-
-bool ParseRecordLine(const std::vector<std::string>& f, FactRecord* r) {
-  if (f.size() != 5) {
-    return false;
-  }
-  r->owner = f[1];
-  r->tag = static_cast<char>(std::atoi(f[2].c_str()));
-  r->line = std::atoi(f[3].c_str());
-  return ParseOpsField(f[4], &r->ops);
-}
-
-}  // namespace
-
-std::string SerializeFacts(const FileFacts& facts) {
-  std::ostringstream out;
-  out << "U\t" << Escape(facts.path) << '\t' << Escape(facts.rel) << '\n';
-  for (const Finding& f : facts.findings) {
-    out << "F\t" << Escape(f.rule) << '\t' << f.line << '\t' << Escape(f.message) << '\n';
-  }
-  for (const AllowAnnotation& a : facts.allows) {
-    std::string rules;
-    for (const std::string& r : a.rules) {
-      rules += (rules.empty() ? "" : ",") + r;
-    }
-    out << "A\t" << a.line << '\t' << Escape(rules) << '\t' << Escape(a.reason) << '\n';
-  }
-  for (const FactFunction& fn : facts.functions) {
-    out << "N\t" << Escape(fn.owner) << '\t' << Escape(fn.name) << '\t' << fn.line << '\n';
-    for (const FactEffect& e : fn.effects) {
-      out << "E\t" << e.kind << '\t' << e.line << '\t' << Escape(e.arg) << '\n';
-    }
-  }
-  for (const FactRecord& r : facts.persists) {
-    EmitRecordLine(out, 'P', r);
-  }
-  for (const FactRecord& r : facts.recovers) {
-    EmitRecordLine(out, 'R', r);
-  }
-  for (const FactEnumerator& e : facts.enumerators) {
-    out << "M\t" << Escape(e.name) << '\t' << e.line << '\n';
-  }
-  for (const FactRegistration& g : facts.registrations) {
-    out << "G\t" << Escape(g.enumerator) << '\t' << Escape(g.struct_name) << '\t' << g.line
-        << '\n';
-  }
-  for (const std::string& h : facts.handler_casts) {
-    out << "H\t" << Escape(h) << '\n';
-  }
-  for (const FactCodecSide& c : facts.codec_sides) {
-    out << "C\t" << Escape(c.owner) << '\t' << (c.encode ? 'E' : 'D') << '\t' << c.line << '\n';
-  }
-  for (const FactPayloadRef& y : facts.payload_refs) {
-    out << "Y\t" << Escape(y.struct_name) << '\t' << Escape(y.type_name) << '\n';
-  }
-  return out.str();
-}
-
-bool ParseFacts(const std::string& text, std::vector<FileFacts>* out) {
-  FileFacts* cur = nullptr;
-  std::stringstream ss(text);
-  std::string line;
-  while (std::getline(ss, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::vector<std::string> f = SplitFields(line);
-    const std::string& head = f[0];
-    if (head == "U") {
-      if (f.size() != 3) {
-        return false;
-      }
-      out->push_back(FileFacts{});
-      cur = &out->back();
-      cur->path = f[1];
-      cur->rel = f[2];
-      continue;
-    }
-    if (cur == nullptr) {
-      return false;
-    }
-    if (head == "F") {
-      if (f.size() != 4) {
-        return false;
-      }
-      Finding fnd;
-      fnd.rule = f[1];
-      fnd.path = cur->path;
-      fnd.line = std::atoi(f[2].c_str());
-      fnd.message = f[3];
-      cur->findings.push_back(std::move(fnd));
-    } else if (head == "A") {
-      if (f.size() != 4) {
-        return false;
-      }
-      AllowAnnotation a;
-      a.line = std::atoi(f[1].c_str());
-      std::stringstream rs(f[2]);
-      std::string rule;
-      while (std::getline(rs, rule, ',')) {
-        a.rules.push_back(rule);
-      }
-      a.reason = f[3];
-      cur->allows.push_back(std::move(a));
-    } else if (head == "N") {
-      if (f.size() != 4) {
-        return false;
-      }
-      FactFunction fn;
-      fn.owner = f[1];
-      fn.name = f[2];
-      fn.line = std::atoi(f[3].c_str());
-      cur->functions.push_back(std::move(fn));
-    } else if (head == "E") {
-      if (f.size() != 4 || f[1].size() != 1 || cur->functions.empty()) {
-        return false;
-      }
-      cur->functions.back().effects.push_back(
-          FactEffect{f[1][0], std::atoi(f[2].c_str()), f[3]});
-    } else if (head == "P" || head == "R") {
-      FactRecord r;
-      if (!ParseRecordLine(f, &r)) {
-        return false;
-      }
-      (head == "P" ? cur->persists : cur->recovers).push_back(std::move(r));
-    } else if (head == "M") {
-      if (f.size() != 3) {
-        return false;
-      }
-      cur->enumerators.push_back(FactEnumerator{f[1], std::atoi(f[2].c_str())});
-    } else if (head == "G") {
-      if (f.size() != 4) {
-        return false;
-      }
-      cur->registrations.push_back(FactRegistration{f[1], f[2], std::atoi(f[3].c_str())});
-    } else if (head == "H") {
-      if (f.size() != 2) {
-        return false;
-      }
-      cur->handler_casts.push_back(f[1]);
-    } else if (head == "C") {
-      if (f.size() != 4 || (f[2] != "E" && f[2] != "D")) {
-        return false;
-      }
-      cur->codec_sides.push_back(FactCodecSide{f[1], f[2] == "E", std::atoi(f[3].c_str())});
-    } else if (head == "Y") {
-      if (f.size() != 3) {
-        return false;
-      }
-      cur->payload_refs.push_back(FactPayloadRef{f[1], f[2]});
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
 // ------------------------------------------------------------ pass 2: rules
 
 namespace {

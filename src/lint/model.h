@@ -22,11 +22,6 @@
 //   pass 2 (whole repo): merge the facts in sorted-file order into a Model,
 //     run R6/R7/R9 over it, distribute the model findings back onto their
 //     files, apply allow annotations, and aggregate the Summary.
-//
-// FileFacts serializes to a line-oriented text form, so `ntlint --jobs N`
-// can fork pass 1 across workers (tools/job_runner.h) and re-assemble
-// byte-identical output in the parent: the merge consumes facts in file
-// order no matter which worker produced them.
 #ifndef SRC_LINT_MODEL_H_
 #define SRC_LINT_MODEL_H_
 
@@ -138,12 +133,6 @@ std::vector<Finding> RunDeferredCapture(const std::string& rel_path, const Lexed
 // unreadable file yields a FileFacts whose findings carry the io-error.
 FileFacts ExtractFactsFromDisk(const std::string& path);
 
-// Text round-trip for the forked --jobs pipeline. Serialize emits a
-// line-oriented record block per file; Parse appends every block found in
-// `text` to `out` and returns false on malformed input.
-std::string SerializeFacts(const FileFacts& facts);
-bool ParseFacts(const std::string& text, std::vector<FileFacts>* out);
-
 // Pass 2: runs R6/R7/R9 over the merged facts. `fuzz_corpus` is the content
 // of tests/fuzz_decode_test.cpp (null = corpus unknown, the corpus leg of R9
 // is skipped). Findings carry the path of the file they belong to.
@@ -151,8 +140,7 @@ std::vector<Finding> RunModelRules(const std::vector<FileFacts>& files,
                                    const std::string* fuzz_corpus);
 
 // Merges model findings into the per-file reports, applies allows, and
-// aggregates. This is the single assembly point both the sequential and the
-// forked drivers share — byte-identical output by construction.
+// aggregates.
 Summary AssembleSummary(std::vector<FileFacts> files, const std::string* fuzz_corpus);
 
 // Whole pipeline over in-memory units (fixture tests).
