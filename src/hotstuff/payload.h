@@ -13,7 +13,8 @@
 //
 // A provider plugs into the HotStuff core: it supplies payloads for
 // proposals, checks availability before votes, and turns committed blocks
-// into delivered transactions for metrics.
+// into delivered transactions (the baselines through the commit sink,
+// Narwhal-HS through its CommitLog).
 #ifndef SRC_HOTSTUFF_PAYLOAD_H_
 #define SRC_HOTSTUFF_PAYLOAD_H_
 

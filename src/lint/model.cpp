@@ -459,7 +459,7 @@ void ScanRecovers(const Toks& t, const FnSpan& fn, std::vector<FactRecord>* out)
   if (found_arm) {
     return;
   }
-  // Guard form: a single-record store (`if (value[0] != 'N') continue;`).
+  // Guard form: a single-record store (`if (value[0] != 'T') return;`).
   for (size_t i = fn.open + 3; i < fn.close; ++i) {
     if (t[i].kind != TokKind::kChar || t[i].text.size() < 3) {
       continue;
