@@ -1225,6 +1225,10 @@ std::vector<Finding> RunModelRules(const std::vector<FileFacts>& files,
   return findings;
 }
 
+namespace {
+
+// Merges model findings into the per-file reports, applies allows, and
+// aggregates.
 Summary AssembleSummary(std::vector<FileFacts> files, const std::string* fuzz_corpus) {
   Summary summary;
   std::vector<Finding> model = RunModelRules(files, fuzz_corpus);
@@ -1270,6 +1274,8 @@ Summary AssembleSummary(std::vector<FileFacts> files, const std::string* fuzz_co
   return summary;
 }
 
+}  // namespace
+
 Summary LintRepoUnits(const std::vector<SourceUnit>& units, const std::string* fuzz_corpus) {
   std::vector<const SourceUnit*> ordered;
   for (const SourceUnit& u : units) {
@@ -1296,6 +1302,11 @@ Summary LintRepoUnits(const std::vector<SourceUnit>& units, const std::string* f
   return AssembleSummary(std::move(facts), fuzz_corpus);
 }
 
+namespace {
+
+// Locates tests/fuzz_decode_test.cpp relative to the lint roots (the repo
+// convention: roots like "src" or "<repo>/src" have a sibling tests/ dir).
+// Returns "" when not found.
 std::string LocateFuzzCorpus(const std::vector<std::string>& paths) {
   namespace fs = std::filesystem;
   std::error_code ec;
@@ -1313,6 +1324,8 @@ std::string LocateFuzzCorpus(const std::vector<std::string>& paths) {
   }
   return "";
 }
+
+}  // namespace
 
 Summary LintPathsWithCorpus(const std::vector<std::string>& paths,
                             const std::string& corpus_path) {

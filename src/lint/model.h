@@ -139,17 +139,8 @@ FileFacts ExtractFactsFromDisk(const std::string& path);
 std::vector<Finding> RunModelRules(const std::vector<FileFacts>& files,
                                    const std::string* fuzz_corpus);
 
-// Merges model findings into the per-file reports, applies allows, and
-// aggregates.
-Summary AssembleSummary(std::vector<FileFacts> files, const std::string* fuzz_corpus);
-
 // Whole pipeline over in-memory units (fixture tests).
 Summary LintRepoUnits(const std::vector<SourceUnit>& units, const std::string* fuzz_corpus);
-
-// Locates tests/fuzz_decode_test.cpp relative to the lint roots (the repo
-// convention: roots like "src" or "<repo>/src" have a sibling tests/ dir).
-// Returns "" when not found.
-std::string LocateFuzzCorpus(const std::vector<std::string>& paths);
 
 // Whole pipeline over paths with an explicit corpus file ("" = auto-locate,
 // and if that fails the corpus leg of R9 is skipped).
