@@ -1,16 +1,12 @@
 // Micro-benchmarks for the crypto substrate (google-benchmark): SHA-2,
-// Ed25519 (single and batched), the FastSigner used in protocol simulations,
-// and the coin. These are the §6 "implementation" costs — the data-path rates
-// that inform the simulator's processing model.
+// Ed25519, the FastSigner used in protocol simulations, and the coin. These
+// are the §6 "implementation" costs — the data-path rates that inform the
+// simulator's processing model.
 //
-// After the google-benchmark suite, main() runs a dedicated single-vs-batch
-// report (speedup per batch size, a 10k-signature batch/single agreement
-// check, and the verified-certificate cache hit rate) and writes it to
-// BENCH_micro_crypto.json.
+// After the google-benchmark suite, main() prints the verified-certificate
+// cache hit rate under repeated deliveries.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -26,39 +22,6 @@
 
 namespace nt {
 namespace {
-
-// `n` valid (pk, msg, sig) triples from distinct signers; messages owned by
-// the fixture so items can point into them.
-struct BatchFixture {
-  std::vector<Ed25519PublicKey> pks;
-  std::vector<Bytes> msgs;
-  std::vector<Ed25519BatchItem> items;
-
-  explicit BatchFixture(size_t n, uint8_t salt = 0) {
-    std::vector<Ed25519Seed> seeds;
-    for (size_t i = 0; i < n; ++i) {
-      Ed25519Seed seed{};
-      for (int j = 0; j < 32; ++j) {
-        seed[j] = static_cast<uint8_t>(i * 13 + j * 5 + salt + 1);
-      }
-      seeds.push_back(seed);
-      pks.push_back(Ed25519Public(seed));
-      Bytes msg(64);
-      for (size_t j = 0; j < msg.size(); ++j) {
-        msg[j] = static_cast<uint8_t>(i + j + salt);
-      }
-      msgs.push_back(std::move(msg));
-    }
-    for (size_t i = 0; i < n; ++i) {
-      Ed25519BatchItem item;
-      item.pk = pks[i];
-      item.msg = msgs[i].data();
-      item.len = msgs[i].size();
-      item.sig = Ed25519Sign(seeds[i], msgs[i]);
-      items.push_back(item);
-    }
-  }
-};
 
 void BM_Sha256(benchmark::State& state) {
   Bytes data(state.range(0), 0xab);
@@ -131,16 +94,6 @@ void BM_Ed25519Verify(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519Verify);
 
-void BM_Ed25519BatchVerify(benchmark::State& state) {
-  BatchFixture fixture(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Ed25519BatchVerify(fixture.items));
-  }
-  // items/s is directly comparable with BM_Ed25519Verify.
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Ed25519BatchVerify)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
 void BM_FastSignerSign(benchmark::State& state) {
   auto signer = MakeSigner(SignerKind::kFast, DeriveSeed(1, 0));
   Bytes msg(64, 7);
@@ -168,81 +121,6 @@ void BM_CommonCoin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CommonCoin);
-
-// ---------------------------------------------------------------------------
-// Single-vs-batch report (written to BENCH_micro_crypto.json).
-// ---------------------------------------------------------------------------
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-// Wall-clock speedup of one batched verification over the same signatures
-// verified individually, averaged over `reps` repetitions.
-double MeasureBatchSpeedup(const BatchFixture& fixture, int reps, double* single_per_s,
-                           double* batch_per_s) {
-  const size_t n = fixture.items.size();
-  // Warm both paths once (fills the decoded-key cache, faults in tables) so
-  // neither timed side pays one-time costs.
-  for (const Ed25519BatchItem& item : fixture.items) {
-    benchmark::DoNotOptimize(Ed25519Verify(item.pk, item.msg, item.len, item.sig));
-  }
-  benchmark::DoNotOptimize(Ed25519BatchVerify(fixture.items));
-
-  // Best of three trials per side: the box is shared, so a scheduler blip in
-  // any one window would otherwise dominate a millisecond-scale measurement.
-  double single_s = 1e30;
-  double batch_s = 1e30;
-  for (int trial = 0; trial < 3; ++trial) {
-    auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) {
-      for (const Ed25519BatchItem& item : fixture.items) {
-        benchmark::DoNotOptimize(Ed25519Verify(item.pk, item.msg, item.len, item.sig));
-      }
-    }
-    single_s = std::min(single_s, SecondsSince(t0));
-    auto t1 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) {
-      benchmark::DoNotOptimize(Ed25519BatchVerify(fixture.items));
-    }
-    batch_s = std::min(batch_s, SecondsSince(t1));
-  }
-  double total_items = static_cast<double>(n) * reps;
-  if (single_per_s != nullptr) {
-    *single_per_s = total_items / single_s;
-  }
-  if (batch_per_s != nullptr) {
-    *batch_per_s = total_items / batch_s;
-  }
-  return single_s / batch_s;
-}
-
-// Batch and single verification must agree on every item of a large mixed
-// valid/corrupted population. Returns the number of disagreements.
-size_t CheckBatchAgreement(size_t n) {
-  BatchFixture fixture(n, /*salt=*/42);
-  uint64_t rng = 0x2545f4914f6cdd1dull;
-  auto next = [&rng]() {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng;
-  };
-  for (auto& item : fixture.items) {
-    if (next() % 2 == 0) {
-      item.sig[next() % 64] ^= static_cast<uint8_t>(1 + next() % 255);
-    }
-  }
-  std::vector<bool> batch = Ed25519BatchVerify(fixture.items);
-  size_t mismatches = 0;
-  for (size_t i = 0; i < fixture.items.size(); ++i) {
-    const Ed25519BatchItem& item = fixture.items[i];
-    if (batch[i] != Ed25519Verify(item.pk, item.msg, item.len, item.sig)) {
-      ++mismatches;
-    }
-  }
-  return mismatches;
-}
 
 // Hit rate of the verified-certificate cache when each certificate is
 // presented `deliveries` times — the re-delivery pattern certificates see in
@@ -282,38 +160,10 @@ double MeasureCertCacheHitRate(size_t num_certs, int deliveries) {
   return total == 0 ? 0.0 : static_cast<double>(stats.hits) / static_cast<double>(total);
 }
 
-void RunBatchReport() {
-  BenchJson json("micro_crypto");
-  PrintBanner("Ed25519 single vs batch verification");
-  std::printf("%8s %12s %12s %9s\n", "batch", "single/s", "batch/s", "speedup");
-  for (size_t n : {4u, 16u, 64u, 256u}) {
-    BatchFixture fixture(n);
-    int reps = n >= 64 ? 2 : 8;
-    double single_per_s = 0;
-    double batch_per_s = 0;
-    double speedup = MeasureBatchSpeedup(fixture, reps, &single_per_s, &batch_per_s);
-    std::printf("%8zu %12.0f %12.0f %8.2fx\n", n, single_per_s, batch_per_s, speedup);
-    std::fflush(stdout);
-    json.Set("batch" + std::to_string(n) + "_speedup", speedup);
-    if (n == 64) {
-      json.Set("single_verifies_per_s", single_per_s);
-      json.Set("batch64_verifies_per_s", batch_per_s);
-    }
-  }
-
-  PrintBanner("Batch/single agreement (10k mixed valid+corrupted)");
-  size_t mismatches = CheckBatchAgreement(10000);
-  std::printf("mismatches: %zu / 10000\n", mismatches);
-  json.Set("agreement_items", 10000);
-  json.Set("agreement_mismatches", static_cast<double>(mismatches));
-
+void RunCertCacheReport() {
   PrintBanner("Verified-certificate cache");
   double hit_rate = MeasureCertCacheHitRate(/*num_certs=*/256, /*deliveries=*/4);
   std::printf("hit rate over 4 deliveries per certificate: %.3f\n", hit_rate);
-  json.Set("cert_cache_hit_rate", hit_rate);
-
-  std::string path = json.Write();
-  std::printf("\nwrote %s\n", path.empty() ? "(failed to write JSON)" : path.c_str());
 }
 
 }  // namespace
@@ -326,6 +176,6 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  nt::RunBatchReport();
+  nt::RunCertCacheReport();
   return 0;
 }

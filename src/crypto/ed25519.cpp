@@ -1,6 +1,5 @@
 #include "src/crypto/ed25519.h"
 
-#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
@@ -281,7 +280,7 @@ void BytesShiftRight(uint8_t b[32], int n) {
 // z^11, via the classic curve25519 addition chain (~250 squarings + 11
 // multiplications, versus ~500 multiplications for generic square-and-
 // multiply over these all-ones exponents). Point decompression runs one of
-// these per point, so batch verification is fixed-cost-bound without it.
+// these per point.
 void FePow250Chain(const Fe& z, Fe* pow_250_1, Fe* z11) {
   Fe z2 = FeSquare(z);                     // z^2
   Fe z9 = FeMul(FeSquareTimes(z2, 2), z);  // z^9
@@ -400,15 +399,13 @@ Ge GeNeg(const Ge& p) {
 // [8]P: clears the small-order (torsion) component of a point. Verification
 // equations are checked after multiplying the residual by the cofactor, so a
 // residual consisting only of an order-1/2/4/8 component counts as zero —
-// the "cofactored" verification of RFC 8032, which is what makes batch and
-// single verification accept exactly the same signature sets.
+// the "cofactored" verification of RFC 8032.
 Ge GeMulCofactor(const Ge& p) { return GeDouble(GeDouble(GeDouble(p))); }
 
 // Precomputed addend (ref10's "cached" form): storing (Y+X, Y-X, Z, 2dT)
 // makes each addition one multiplication cheaper than the general formula
 // (the 2dT product is amortized into the table build) and skips the
-// operand-side add/sub pair. Negation is free: swap the first two fields and
-// flip the sign of the T term, which GeSubCached does implicitly.
+// operand-side add/sub pair.
 struct GeCached {
   Fe yplusx, yminusx, z, t2d;
 };
@@ -430,25 +427,6 @@ Ge GeAddCached(const Ge& p, const GeCached& q) {
   Fe e = FeSub(b, a);
   Fe f = FeSub(d, cc);
   Fe g = FeAdd(d, cc);
-  Fe h = FeAdd(b, a);
-  Ge r;
-  r.x = FeMul(e, f);
-  r.y = FeMul(g, h);
-  r.t = FeMul(e, h);
-  r.z = FeMul(f, g);
-  return r;
-}
-
-// p + (-q) without materializing -q: -q has yplusx/yminusx swapped and t2d
-// negated, which only flips the sign of cc below.
-Ge GeSubCached(const Ge& p, const GeCached& q) {
-  Fe a = FeMul(FeSub(p.y, p.x), q.yplusx);
-  Fe b = FeMul(FeAdd(p.y, p.x), q.yminusx);
-  Fe cc = FeMul(p.t, q.t2d);
-  Fe d = FeMul(FeAdd(p.z, p.z), q.z);
-  Fe e = FeSub(b, a);
-  Fe f = FeAdd(d, cc);
-  Fe g = FeSub(d, cc);
   Fe h = FeAdd(b, a);
   Ge r;
   r.x = FeMul(e, f);
@@ -802,226 +780,6 @@ Sc ScMulAdd(const Sc& a, const Sc& b, const Sc& c) {
 }
 
 // ===========================================================================
-// Interleaved Straus multi-scalar multiplication: evaluates sum_i [s_i]P_i
-// with one doubling chain shared by every term (253 doublings total, however
-// many points) and per-point tables of small odd multiples. Scalars are
-// recoded into signed sliding windows (odd digits in {+-1, +-3, ..., +-15},
-// nonzero-digit density ~1/6), so each point costs ~8 table additions plus
-// ~|s|/6 window additions — versus 256 doublings *per point* for repeated
-// double-and-add. Negating an Edwards point is free (negate x, t), which is
-// what makes the signed recoding profitable.
-// ===========================================================================
-
-// Signed sliding-window recoding (the classic ed25519 "slide"): rewrites the
-// scalar bits as digits r[i] in {0, +-1, +-3, ..., +-15} with r[i] != 0 only
-// at window starts, such that sum r[i] 2^i equals the scalar.
-void SlideRecode(int8_t r[256], const uint8_t s[32]) {
-  for (int i = 0; i < 256; ++i) {
-    r[i] = static_cast<int8_t>((s[i >> 3] >> (i & 7)) & 1);
-  }
-  for (int i = 0; i < 256; ++i) {
-    if (r[i] == 0) {
-      continue;
-    }
-    for (int b = 1; b <= 6 && i + b < 256; ++b) {
-      if (r[i + b] == 0) {
-        continue;
-      }
-      if (r[i] + (r[i + b] << b) <= 15) {
-        r[i] = static_cast<int8_t>(r[i] + (r[i + b] << b));
-        r[i + b] = 0;
-      } else if (r[i] - (r[i + b] << b) >= -15) {
-        r[i] = static_cast<int8_t>(r[i] - (r[i + b] << b));
-        for (int k = i + b; k < 256; ++k) {
-          if (r[k] == 0) {
-            r[k] = 1;
-            break;
-          }
-          r[k] = 0;
-        }
-      } else {
-        break;
-      }
-    }
-  }
-}
-
-struct MsmTerm {
-  std::array<GeCached, 8> table;  // [1]P, [3]P, [5]P, ..., [15]P.
-  int8_t naf[256];
-  int top;  // Highest index with a nonzero digit; -1 if the scalar is 0.
-};
-
-MsmTerm MakeMsmTerm(const Ge& p, const Sc& s) {
-  MsmTerm t;
-  uint8_t scalar[32];
-  ScToBytes(scalar, s);
-  SlideRecode(t.naf, scalar);
-  GeCached p2 = GeToCached(GeDouble(p));
-  Ge cur = p;
-  t.table[0] = GeToCached(cur);
-  for (int j = 1; j < 8; ++j) {
-    cur = GeAddCached(cur, p2);
-    t.table[j] = GeToCached(cur);
-  }
-  t.top = -1;
-  for (int i = 255; i >= 0; --i) {
-    if (t.naf[i] != 0) {
-      t.top = i;
-      break;
-    }
-  }
-  return t;
-}
-
-Ge MsmEvaluate(const std::vector<MsmTerm>& terms) {
-  int top = -1;
-  for (const MsmTerm& t : terms) {
-    top = std::max(top, t.top);
-  }
-  Ge acc = GeIdentity();
-  for (int i = top; i >= 0; --i) {
-    if (i != top) {
-      acc = GeDouble(acc);
-    }
-    for (const MsmTerm& t : terms) {
-      int8_t digit = t.naf[i];
-      if (digit > 0) {
-        acc = GeAddCached(acc, t.table[digit >> 1]);
-      } else if (digit < 0) {
-        acc = GeSubCached(acc, t.table[(-digit) >> 1]);
-      }
-    }
-  }
-  return acc;
-}
-
-// ===========================================================================
-// Batch verification (RFC 8032 §8.2 style). Per-item prework decodes the
-// points, rejects S >= L, and computes k = H(R || A || M) mod L; the
-// cofactored batch equation with 128-bit random coefficients z_i then checks
-// all items at once. Bisection localizes failures.
-// ===========================================================================
-
-// Precomputed per-item state that survives across bisection rounds.
-struct BatchPre {
-  Ge a;       // Decoded public key A.
-  Ge r;       // Decoded commitment R.
-  Sc s;       // Signature scalar S (< L, checked).
-  Sc k;       // Challenge H(R || A || M) mod L.
-  uint8_t pk[32];
-  uint8_t sig[64];
-};
-
-bool ScIsZero(const Sc& a) { return (a.w[0] | a.w[1] | a.w[2] | a.w[3]) == 0; }
-
-// Checks [8]([sum z_i s_i]B - sum [z_i k_i]A_i - sum [z_i]R_i) == identity
-// for the given items. The z_i are derived from a transcript of the subset
-// (Fiat-Shamir style), so results are deterministic; the challenge k_i binds
-// the message, so hashing (pk, sig, k) suffices.
-//
-// The cofactor multiplication is load-bearing for consistency with single
-// verification: without it, an adversarial signature whose residual is a
-// small-order point T (e.g. R' = R + T) would make the batch verdict depend
-// on z_i mod 8 — i.e. on the exact flush composition, which differs across
-// delivery paths and would let honest validators reach different verdicts
-// for the same certificate. Multiplying by 8 clears every torsion component
-// on both the batch and single paths, so the two accept the same signatures
-// (up to the 2^-128 z-collision, which bisection resolves to the single
-// equation anyway).
-bool BatchEquationHolds(const std::vector<const BatchPre*>& items) {
-  Sha512 transcript;
-  transcript.Update("nt-ed25519-batch");
-  for (const BatchPre* item : items) {
-    uint8_t k_bytes[32];
-    ScToBytes(k_bytes, item->k);
-    transcript.Update(item->pk, 32);
-    transcript.Update(item->sig, 64);
-    transcript.Update(k_bytes, 32);
-  }
-  Sha512::Output seed = transcript.Finalize();
-
-  Sc c;  // sum z_i s_i mod L.
-  std::vector<MsmTerm> terms;
-  terms.reserve(2 * items.size() + 1);
-  Sha512::Output z_block{};  // One 64-byte hash yields four 128-bit z_i.
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i % 4 == 0) {
-      Sha512 h;
-      h.Update(seed.data(), seed.size());
-      uint8_t index[8];
-      for (int b = 0; b < 8; ++b) {
-        index[b] = static_cast<uint8_t>((i / 4) >> (8 * b));
-      }
-      h.Update(index, 8);
-      z_block = h.Finalize();
-    }
-    const uint8_t* z_bytes = z_block.data() + 16 * (i % 4);
-    Sc z;
-    for (int wi = 0; wi < 2; ++wi) {
-      for (int b = 0; b < 8; ++b) {
-        z.w[wi] |= static_cast<uint64_t>(z_bytes[8 * wi + b]) << (8 * b);
-      }
-    }
-    if (ScIsZero(z)) {
-      z.w[0] = 1;  // z must be invertible mod L (probability 2^-128).
-    }
-    c = ScMulAdd(z, items[i]->s, c);
-    Sc zk = ScMulAdd(z, items[i]->k, Sc{});
-    terms.push_back(MakeMsmTerm(GeNeg(items[i]->a), zk));
-    terms.push_back(MakeMsmTerm(GeNeg(items[i]->r), z));
-  }
-  // The [c]B term goes through the fixed-base window table (64 additions,
-  // no table build) rather than the generic MSM.
-  uint8_t c_bytes[32];
-  ScToBytes(c_bytes, c);
-  Ge residual = GeAdd(MsmEvaluate(terms), GeScalarMultBase(c_bytes));
-  return GeIsIdentity(GeMulCofactor(residual));
-}
-
-// The cofactored single-signature equation [8]([S]B - R - [k]A) == identity
-// on precomputed state. Must match Ed25519Verify exactly: bisection leaves
-// land here, and their verdicts are the contract between batch and single
-// verification.
-bool SingleEquationHolds(const BatchPre& item) {
-  uint8_t s_bytes[32];
-  ScToBytes(s_bytes, item.s);
-  uint8_t k_bytes[32];
-  ScToBytes(k_bytes, item.k);
-  Ge lhs = GeScalarMultBase(s_bytes);
-  Ge rhs = GeAdd(item.r, GeScalarMult(k_bytes, item.a));
-  return GeIsIdentity(GeMulCofactor(GeAdd(lhs, GeNeg(rhs))));
-}
-
-// Batch check over `items`, writing per-item verdicts through `out` (indexed
-// by each item's original position). On batch failure, bisects; leaves fall
-// back to the exact single-signature equation so verdicts agree with
-// Ed25519Verify even in the astronomically unlikely event of a z collision.
-void BatchVerifyRange(const std::vector<const BatchPre*>& items,
-                      const std::vector<size_t>& positions, std::vector<bool>& out) {
-  if (items.empty()) {
-    return;
-  }
-  if (items.size() == 1) {
-    out[positions[0]] = SingleEquationHolds(*items[0]);
-    return;
-  }
-  if (BatchEquationHolds(items)) {
-    for (size_t pos : positions) {
-      out[pos] = true;
-    }
-    return;
-  }
-  size_t mid = items.size() / 2;
-  std::vector<const BatchPre*> left(items.begin(), items.begin() + mid);
-  std::vector<size_t> left_pos(positions.begin(), positions.begin() + mid);
-  std::vector<const BatchPre*> right(items.begin() + mid, items.end());
-  std::vector<size_t> right_pos(positions.begin() + mid, positions.end());
-  BatchVerifyRange(left, left_pos, out);
-  BatchVerifyRange(right, right_pos, out);
-}
-
-// ===========================================================================
 // RFC 8032 signing / verification.
 // ===========================================================================
 
@@ -1112,56 +870,11 @@ bool Ed25519Verify(const Ed25519PublicKey& pk, const uint8_t* msg, size_t len,
 
   // Cofactored check: [8]([S]B - R - [k]A) == identity (the "[8][S]B ==
   // [8]R + [8][k]A" form RFC 8032 permits). Multiplying by the cofactor
-  // clears small-order components, so this accepts exactly the same
-  // signature sets as the cofactored batch equation — adversarial torsion
-  // offsets in R or A cannot make the two paths disagree.
+  // clears small-order components, so an adversarial torsion offset in R or
+  // A does not change the verdict.
   Ge lhs = GeScalarMultBase(sig.data() + 32);
   Ge rhs = GeAdd(r_point, GeScalarMult(k_bytes, a_point));
   return GeIsIdentity(GeMulCofactor(GeAdd(lhs, GeNeg(rhs))));
-}
-
-std::vector<bool> Ed25519BatchVerify(const Ed25519BatchItem* items, size_t n) {
-  std::vector<bool> out(n, false);
-  if (n == 0) {
-    return out;
-  }
-  // Per-item prework: strict decoding and the challenge hash. Items that
-  // fail here are invalid regardless of the batch equation and are excluded
-  // from it, so one garbage signature cannot force a full bisection.
-  std::vector<BatchPre> pre(n);
-  std::vector<const BatchPre*> candidates;
-  std::vector<size_t> positions;
-  candidates.reserve(n);
-  positions.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Ed25519BatchItem& item = items[i];
-    Sc s;
-    for (int wi = 0; wi < 4; ++wi) {
-      for (int b = 0; b < 8; ++b) {
-        s.w[wi] |= static_cast<uint64_t>(item.sig[32 + 8 * wi + b]) << (8 * b);
-      }
-    }
-    if (ScCompare(s, GroupOrder()) >= 0) {
-      continue;  // Malleable S >= L: rejected, same as Ed25519Verify.
-    }
-    BatchPre& p = pre[i];
-    if (!GeDecompressKey(p.a, item.pk.data()) || !GeDecompress(p.r, item.sig.data())) {
-      continue;
-    }
-    p.s = s;
-    Sha512 h;
-    h.Update(item.sig.data(), 32);
-    h.Update(item.pk.data(), 32);
-    h.Update(item.msg, item.len);
-    Sha512::Output k_hash = h.Finalize();
-    p.k = ScFromBytesWide(k_hash.data());
-    std::memcpy(p.pk, item.pk.data(), 32);
-    std::memcpy(p.sig, item.sig.data(), 64);
-    candidates.push_back(&p);
-    positions.push_back(i);
-  }
-  BatchVerifyRange(candidates, positions, out);
-  return out;
 }
 
 Ed25519PublicKey Ed25519ScalarMultBase(const std::array<uint8_t, 32>& scalar) {

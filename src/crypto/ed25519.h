@@ -2,25 +2,14 @@
 //  - field arithmetic over GF(2^255 - 19) with 5x51-bit limbs,
 //  - twisted-Edwards group operations in extended coordinates: the complete
 //    unified addition law plus dedicated doubling (4S+4M) and cached-operand
-//    addition/subtraction formulas for table-driven scalar multiplication,
+//    addition formula for table-driven scalar multiplication,
 //  - scalar arithmetic modulo the group order L (word-folding reduction via
 //    2^252 == -delta mod L),
 //  - key generation, signing, and strict *cofactored* verification: rejects
 //    S >= L and checks [8]([S]B - R - [k]A) == identity (the RFC 8032
 //    "[8][S]B == [8]R + [8][k]A" variant),
 //  - a precomputed radix-16 window table for the base point (fixed-base
-//    scalar multiplication in ~64 additions, no doublings),
-//  - batch verification of the cofactored RFC 8032 batch equation
-//        [8]([sum z_i s_i] B - sum [z_i k_i] A_i - sum [z_i] R_i) == identity
-//    with 128-bit random coefficients z_i, evaluated by an interleaved
-//    Straus multi-scalar multiplication that shares one doubling chain
-//    across every point in the batch; failures bisect to identify culprits.
-//
-// Both verification paths are cofactored so they accept exactly the same
-// signature sets: multiplying the residual by 8 clears small-order (torsion)
-// components on both sides, which is what prevents an adversarial torsion
-// offset (e.g. R' = R + T for an order-8 T) from making batch and single
-// verdicts diverge with the flush composition.
+//    scalar multiplication in ~64 additions, no doublings).
 //
 // Curve constants (d = -121665/121666, sqrt(-1), the base point from
 // y = 4/5) are derived at startup with field operations instead of being
@@ -30,8 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "src/common/bytes.h"
 
@@ -52,39 +39,12 @@ inline Ed25519Signature Ed25519Sign(const Ed25519Seed& seed, const Bytes& msg) {
 
 // Verifies a signature. Strict about encodings — rejects non-canonical S
 // (S >= L) and non-decodable points — and cofactored about the group
-// equation, so the verdict matches Ed25519BatchVerify for every input,
-// including signatures with small-order components.
+// equation, so small-order components of R or A do not change the verdict.
 bool Ed25519Verify(const Ed25519PublicKey& pk, const uint8_t* msg, size_t len,
                    const Ed25519Signature& sig);
 inline bool Ed25519Verify(const Ed25519PublicKey& pk, const Bytes& msg,
                           const Ed25519Signature& sig) {
   return Ed25519Verify(pk, msg.data(), msg.size(), sig);
-}
-
-// --- Batch verification ----------------------------------------------------
-
-// One signature to check in a batch. `msg` is borrowed: it must stay alive
-// until the Ed25519BatchVerify call returns.
-struct Ed25519BatchItem {
-  Ed25519PublicKey pk{};
-  const uint8_t* msg = nullptr;
-  size_t len = 0;
-  Ed25519Signature sig{};
-};
-
-// Verifies `n` signatures together and returns one validity bit per item
-// (empty input -> empty output). Verdicts match Ed25519Verify: S >= L and
-// non-decodable A/R are rejected per item before the batch equation runs,
-// and both paths check the cofactored group equation, so no input — honest
-// or adversarial — verifies differently here than it does one at a time
-// (a 2^-128 Fiat-Shamir z-collision could make a failing subset pass, but
-// torsion components cannot, and bisection leaves fall back to the single
-// equation). A batch whose combined equation fails is bisected, so the
-// result identifies precisely which items are bad while still paying the
-// batched cost for the valid majority.
-std::vector<bool> Ed25519BatchVerify(const Ed25519BatchItem* items, size_t n);
-inline std::vector<bool> Ed25519BatchVerify(const std::vector<Ed25519BatchItem>& items) {
-  return Ed25519BatchVerify(items.data(), items.size());
 }
 
 // --- Introspection hooks used by tests -------------------------------------

@@ -8,15 +8,6 @@
 #include "src/crypto/ed25519.h"
 
 namespace nt {
-
-std::vector<bool> Signer::VerifyBatch(const std::vector<BatchItem>& items) const {
-  std::vector<bool> out(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    out[i] = Verify(items[i].pk, items[i].msg.data(), items[i].msg.size(), items[i].sig);
-  }
-  return out;
-}
-
 namespace {
 
 class Ed25519Signer : public Signer {
@@ -33,17 +24,6 @@ class Ed25519Signer : public Signer {
   bool Verify(const PublicKey& pk, const uint8_t* msg, size_t len,
               const Signature& sig) const override {
     return Ed25519Verify(pk, msg, len, sig);
-  }
-
-  std::vector<bool> VerifyBatch(const std::vector<BatchItem>& items) const override {
-    std::vector<Ed25519BatchItem> batch(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      batch[i].pk = items[i].pk;
-      batch[i].msg = items[i].msg.data();
-      batch[i].len = items[i].msg.size();
-      batch[i].sig = items[i].sig;
-    }
-    return Ed25519BatchVerify(batch.data(), batch.size());
   }
 
  private:

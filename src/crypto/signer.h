@@ -18,7 +18,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/crypto/hash.h"
@@ -27,15 +26,6 @@ namespace nt {
 
 using PublicKey = std::array<uint8_t, 32>;
 using Signature = std::array<uint8_t, 64>;
-
-// One queued (public key, message, signature) triple awaiting batch
-// verification. Owns its message bytes so callers need not keep buffers
-// alive until the flush.
-struct BatchItem {
-  PublicKey pk{};
-  Bytes msg;
-  Signature sig{};
-};
 
 // A private signing key bound to one identity.
 class Signer {
@@ -47,7 +37,9 @@ class Signer {
   Signature Sign(const Bytes& msg) const { return Sign(msg.data(), msg.size()); }
   Signature Sign(const Digest& d) const { return Sign(d.data(), d.size()); }
 
-  // Verifies under an arbitrary public key of the same scheme.
+  // Verifies under an arbitrary public key of the same scheme. This is the
+  // one verification path: certificates and QCs check their votes through it
+  // one at a time and stop at the first bad one.
   virtual bool Verify(const PublicKey& pk, const uint8_t* msg, size_t len,
                       const Signature& sig) const = 0;
   bool Verify(const PublicKey& pk, const Bytes& msg, const Signature& sig) const {
@@ -56,66 +48,6 @@ class Signer {
   bool Verify(const PublicKey& pk, const Digest& d, const Signature& sig) const {
     return Verify(pk, d.data(), d.size(), sig);
   }
-
-  // Verifies a batch of signatures, one verdict per item. The default
-  // implementation loops over Verify (what FastSigner wants: its keyed-hash
-  // MACs have no batchable structure); Ed25519Signer overrides it with true
-  // multi-scalar batch verification. Must agree with per-item Verify in both
-  // schemes so protocol code can stay scheme-agnostic — Ed25519 guarantees
-  // this by checking the *cofactored* equation on both paths (small-order
-  // adversarial components clear identically), leaving only the 2^-128
-  // Fiat-Shamir collision as a theoretical divergence.
-  virtual std::vector<bool> VerifyBatch(const std::vector<BatchItem>& items) const;
-};
-
-// Accumulates signatures and verifies them in one flush through the signer's
-// batch kernel — the API the certificate paths use:
-//
-//   BatchVerifier batch(*signer);
-//   for (vote : cert.votes) batch.Queue(key_of(vote), preimage, vote.sig);
-//   std::vector<bool> ok = batch.Flush();
-class BatchVerifier {
- public:
-  explicit BatchVerifier(const Signer& signer) : signer_(&signer) {}
-
-  void Queue(const PublicKey& pk, const uint8_t* msg, size_t len, const Signature& sig) {
-    BatchItem item;
-    item.pk = pk;
-    item.msg.assign(msg, msg + len);
-    item.sig = sig;
-    items_.push_back(std::move(item));
-  }
-  void Queue(const PublicKey& pk, const Bytes& msg, const Signature& sig) {
-    Queue(pk, msg.data(), msg.size(), sig);
-  }
-  void Queue(const PublicKey& pk, const Digest& d, const Signature& sig) {
-    Queue(pk, d.data(), d.size(), sig);
-  }
-
-  size_t pending() const { return items_.size(); }
-
-  // Verifies everything queued since the last flush and clears the queue.
-  // Result i corresponds to the i-th Queue call.
-  std::vector<bool> Flush() {
-    std::vector<bool> out = signer_->VerifyBatch(items_);
-    items_.clear();
-    return out;
-  }
-
-  // Convenience: flush and require every queued signature to be valid.
-  bool FlushAllValid() {
-    std::vector<bool> out = Flush();
-    for (bool ok : out) {
-      if (!ok) {
-        return false;
-      }
-    }
-    return true;
-  }
-
- private:
-  const Signer* signer_;
-  std::vector<BatchItem> items_;
 };
 
 enum class SignerKind { kEd25519, kFast };

@@ -8,8 +8,8 @@ namespace nt {
 namespace {
 
 // Shared verification core for the two HotStuff certificate kinds: quorum +
-// distinct-voter structure, then a cache probe, then one batched flush of
-// the vote signatures over a common preimage. `domain` separates QC and TC
+// distinct-voter structure, then a cache probe, then the vote signatures
+// over a common preimage, one at a time. `domain` separates QC and TC
 // cache keys; `view` is the GC dimension. `cache_override` selects the
 // per-node cache; nullptr falls back to the process-wide default.
 bool VerifyVoteSet(std::string_view domain, const Bytes& preimage, View view,
@@ -44,12 +44,10 @@ bool VerifyVoteSet(std::string_view domain, const Bytes& preimage, View view,
   if (cache.Lookup(key)) {
     return true;
   }
-  BatchVerifier batch(verifier);
   for (const auto& [voter, sig] : votes) {
-    batch.Queue(committee.key_of(voter), preimage, sig);
-  }
-  if (!batch.FlushAllValid()) {
-    return false;
+    if (!verifier.Verify(committee.key_of(voter), preimage, sig)) {
+      return false;
+    }
   }
   cache.Insert(key, view);
   return true;

@@ -38,19 +38,12 @@ class Mempool {
   std::optional<Certificate> CertificateFor(const Digest& batch_digest) const;
 
   // valid(d, c(d)): structural and cryptographic certificate check. Runs
-  // through the batched verification kernel and the process-wide default
+  // through Certificate::Verify and the process-wide default
   // verified-certificate cache (VerifiedCertCache::Narwhal() — this facade
   // is a tool-facing API, not a simulated validator), so repeated validity
   // queries for the same certificate cost one cache probe after the first.
   static bool Valid(const Committee& committee, const Signer& verifier, const Certificate& cert) {
     return cert.Verify(committee, verifier);
-  }
-
-  // Bulk form: validates many certificates with one batched signature flush
-  // (readers syncing a causal history validate whole parent sets at once).
-  static bool ValidAll(const Committee& committee, const Signer& verifier,
-                       const std::vector<Certificate>& certs) {
-    return Certificate::VerifyAll(certs, committee, verifier);
   }
 
   // read(d): the batch content, if stored locally.

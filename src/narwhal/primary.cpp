@@ -495,14 +495,8 @@ void Primary::HandleHeader(uint32_t from, const MsgHeader& msg) {
     if (parent_authors.size() < committee_.quorum_threshold()) {
       return;
     }
-    // Verify the whole parent set with one batched flush (every uncached
-    // parent's votes share a single multi-scalar multiplication); the
-    // per-parent AcceptCertificate calls below then hit the verified-
-    // certificate cache.
-    if (!Certificate::VerifyAll(header.parents, committee_, *signer_, &cert_cache_)) {
-      LOG_WARN() << "header with invalid parent certificate from validator " << header.author;
-      return;
-    }
+    // AcceptCertificate skips parents below GC or already in the DAG, so only
+    // new parents pay for signature verification.
     for (const Certificate& parent : header.parents) {
       if (!AcceptCertificate(parent, /*request_header_if_missing=*/true)) {
         return;  // Invalid parent certificate: reject the header.

@@ -174,66 +174,14 @@ bool Certificate::Verify(const Committee& committee, const Signer& verifier,
   if (cache.Lookup(key)) {
     return true;
   }
-  BatchVerifier batch(verifier);
   Bytes preimage = VotePreimage(header_digest, round, author);
   for (const auto& [voter, sig] : votes) {
-    batch.Queue(committee.key_of(voter), preimage, sig);
-  }
-  if (!batch.FlushAllValid()) {
-    return false;
+    if (!verifier.Verify(committee.key_of(voter), preimage, sig)) {
+      return false;
+    }
   }
   cache.Insert(key, round);
   return true;
-}
-
-bool Certificate::VerifyAll(const std::vector<Certificate>& certs, const Committee& committee,
-                            const Signer& verifier, VerifiedCertCache* cache_override) {
-  VerifiedCertCache& cache =
-      cache_override != nullptr ? *cache_override : VerifiedCertCache::Narwhal();
-  bool all_valid = true;
-  // One flush covers the uncached certificates' votes; vote counts per
-  // certificate let the results map back so each certificate gets an
-  // independent verdict (and cache entry).
-  BatchVerifier batch(verifier);
-  struct PendingCert {
-    const Certificate* cert;
-    Digest key;
-    size_t first_vote;
-    size_t num_votes;
-  };
-  std::vector<PendingCert> pending;
-  for (const Certificate& cert : certs) {
-    if (!CertStructureOk(committee, cert)) {
-      all_valid = false;
-      continue;
-    }
-    Digest key = CertCacheKey(committee, cert);
-    if (cache.Lookup(key)) {
-      continue;
-    }
-    PendingCert p{&cert, key, batch.pending(), cert.votes.size()};
-    Bytes preimage = VotePreimage(cert.header_digest, cert.round, cert.author);
-    for (const auto& [voter, sig] : cert.votes) {
-      batch.Queue(committee.key_of(voter), preimage, sig);
-    }
-    pending.push_back(p);
-  }
-  std::vector<bool> ok = batch.Flush();
-  for (const PendingCert& p : pending) {
-    bool cert_ok = true;
-    for (size_t i = 0; i < p.num_votes; ++i) {
-      if (!ok[p.first_vote + i]) {
-        cert_ok = false;
-        break;
-      }
-    }
-    if (cert_ok) {
-      cache.Insert(p.key, p.cert->round);
-    } else {
-      all_valid = false;
-    }
-  }
-  return all_valid;
 }
 
 size_t Certificate::WireSize() const {

@@ -88,23 +88,14 @@ struct Certificate {
 
   // Structural + cryptographic validity: >= 2f+1 distinct known voters whose
   // signatures verify. `verifier` supplies the scheme. Signatures are checked
-  // through the signer's batch kernel, and a positive result is memoized in
-  // `cache`, so re-deliveries of the same certificate (broadcast, header
-  // parent, consensus payload) verify once. Protocol nodes pass their own
-  // per-validator cache — every simulated validator must do its own crypto
+  // one at a time, stopping at the first bad one, and a positive result is
+  // memoized in `cache`, so re-deliveries of the same certificate (broadcast,
+  // header parent, consensus payload) verify once. Protocol nodes pass their
+  // own per-validator cache — every simulated validator must do its own crypto
   // work, as a real deployment would; nullptr falls back to the process-wide
   // default instance (VerifiedCertCache::Narwhal()) for tools and tests.
   bool Verify(const Committee& committee, const Signer& verifier,
               VerifiedCertCache* cache = nullptr) const;
-
-  // Verifies many certificates with a single batched flush across all their
-  // uncached vote signatures — the bulk entry point for header-parent sets
-  // and certificate payloads. Returns true iff every certificate is valid;
-  // each valid certificate lands in the cache (so per-certificate Verify
-  // calls that follow are hits) even when some other certificate fails.
-  // `cache` as in Verify.
-  static bool VerifyAll(const std::vector<Certificate>& certs, const Committee& committee,
-                        const Signer& verifier, VerifiedCertCache* cache = nullptr);
 
   size_t WireSize() const;
 };

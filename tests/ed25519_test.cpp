@@ -199,160 +199,8 @@ TEST(Ed25519Test, NonCanonicalYRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch verification.
-// ---------------------------------------------------------------------------
-
-struct BatchFixture {
-  std::vector<Ed25519Seed> seeds;
-  std::vector<Ed25519PublicKey> pks;
-  std::vector<Bytes> msgs;  // Stable storage: items point into these.
-  std::vector<Ed25519BatchItem> items;
-
-  // `n` distinct signers, message i = i bytes of a simple pattern.
-  explicit BatchFixture(size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      Ed25519Seed seed{};
-      for (int j = 0; j < 32; ++j) {
-        seed[j] = static_cast<uint8_t>(i * 31 + j * 7 + 1);
-      }
-      seeds.push_back(seed);
-      pks.push_back(Ed25519Public(seed));
-      Bytes msg(i % 57);
-      for (size_t j = 0; j < msg.size(); ++j) {
-        msg[j] = static_cast<uint8_t>(i + j);
-      }
-      msgs.push_back(std::move(msg));
-    }
-    for (size_t i = 0; i < n; ++i) {
-      Ed25519BatchItem item;
-      item.pk = pks[i];
-      item.msg = msgs[i].data();
-      item.len = msgs[i].size();
-      item.sig = Ed25519Sign(seeds[i], msgs[i]);
-      items.push_back(item);
-    }
-  }
-};
-
-TEST(Ed25519BatchTest, EmptyBatch) {
-  std::vector<Ed25519BatchItem> empty;
-  EXPECT_TRUE(Ed25519BatchVerify(empty).empty());
-}
-
-TEST(Ed25519BatchTest, BatchOfOne) {
-  BatchFixture f(1);
-  auto ok = Ed25519BatchVerify(f.items);
-  ASSERT_EQ(ok.size(), 1u);
-  EXPECT_TRUE(ok[0]);
-
-  f.items[0].sig[0] ^= 1;
-  ok = Ed25519BatchVerify(f.items);
-  ASSERT_EQ(ok.size(), 1u);
-  EXPECT_FALSE(ok[0]);
-}
-
-TEST(Ed25519BatchTest, AllValid) {
-  BatchFixture f(32);
-  auto ok = Ed25519BatchVerify(f.items);
-  ASSERT_EQ(ok.size(), 32u);
-  for (size_t i = 0; i < ok.size(); ++i) {
-    EXPECT_TRUE(ok[i]) << "item " << i;
-  }
-}
-
-TEST(Ed25519BatchTest, OneBadAmongSixtyFourIsIdentified) {
-  // Bisection must pin the single corrupted signature without condemning any
-  // of its 63 valid neighbours.
-  for (size_t culprit : {0u, 17u, 63u}) {
-    BatchFixture f(64);
-    f.items[culprit].sig[40] ^= 0x80;
-    auto ok = Ed25519BatchVerify(f.items);
-    ASSERT_EQ(ok.size(), 64u);
-    for (size_t i = 0; i < ok.size(); ++i) {
-      EXPECT_EQ(ok[i], i != culprit) << "culprit " << culprit << " item " << i;
-    }
-  }
-}
-
-TEST(Ed25519BatchTest, HighSRejectedWithoutPoisoningBatch) {
-  // Item 3 carries S' = S + L (malleable, must be rejected by strict
-  // verification); the rest of the batch must still verify. The forged S is
-  // pre-rejected before the batch equation, so it cannot force a bisection
-  // cascade either.
-  BatchFixture f(8);
-  auto order = Ed25519GroupOrder();
-  uint32_t carry = 0;
-  for (int i = 0; i < 32; ++i) {
-    uint32_t sum = static_cast<uint32_t>(f.items[3].sig[32 + i]) + order[i] + carry;
-    f.items[3].sig[32 + i] = static_cast<uint8_t>(sum);
-    carry = sum >> 8;
-  }
-  if (carry != 0) {
-    GTEST_SKIP() << "S + L overflowed 32 bytes for this seed";
-  }
-  auto ok = Ed25519BatchVerify(f.items);
-  ASSERT_EQ(ok.size(), 8u);
-  for (size_t i = 0; i < ok.size(); ++i) {
-    EXPECT_EQ(ok[i], i != 3) << "item " << i;
-  }
-}
-
-TEST(Ed25519BatchTest, UndecodablePointsRejectedWithoutPoisoningBatch) {
-  BatchFixture f(8);
-  // Item 1: public key that is not a curve point (y >= p).
-  f.items[1].pk.fill(0xff);
-  f.items[1].pk[31] = 0x7f;
-  // Item 5: R replaced by the same non-point.
-  for (int i = 0; i < 32; ++i) {
-    f.items[5].sig[i] = (i == 31) ? 0x7f : 0xff;
-  }
-  auto ok = Ed25519BatchVerify(f.items);
-  ASSERT_EQ(ok.size(), 8u);
-  for (size_t i = 0; i < ok.size(); ++i) {
-    EXPECT_EQ(ok[i], i != 1 && i != 5) << "item " << i;
-  }
-}
-
-TEST(Ed25519BatchTest, RandomizedAgreementWithSingleVerify) {
-  // Batch and single verification must agree bit-for-bit on a mixed bag of
-  // valid, corrupted, and cross-wired signatures. (The micro-benchmark runs
-  // the same check over 10k items; this keeps the unit test fast.)
-  BatchFixture f(96);
-  uint64_t rng = 0x9e3779b97f4a7c15ull;  // Deterministic xorshift.
-  auto next = [&rng]() {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng;
-  };
-  for (auto& item : f.items) {
-    switch (next() % 4) {
-      case 0:  // Leave valid.
-        break;
-      case 1:  // Flip a signature byte.
-        item.sig[next() % 64] ^= static_cast<uint8_t>(1 + next() % 255);
-        break;
-      case 2:  // Wrong public key.
-        item.pk = f.pks[next() % f.pks.size()];
-        break;
-      case 3:  // Truncate the message view.
-        if (item.len > 0) {
-          item.len -= 1;
-        }
-        break;
-    }
-  }
-  auto batch_ok = Ed25519BatchVerify(f.items);
-  ASSERT_EQ(batch_ok.size(), f.items.size());
-  for (size_t i = 0; i < f.items.size(); ++i) {
-    bool single = Ed25519Verify(f.items[i].pk, f.items[i].msg, f.items[i].len, f.items[i].sig);
-    EXPECT_EQ(batch_ok[i], single) << "item " << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Small-order (torsion) inputs: cofactored single and batch verification
-// must reach the same verdict no matter how the flush is composed.
+// Small-order (torsion) inputs: cofactored verification clears torsion
+// components, so its verdict does not depend on the challenge mod 8.
 // ---------------------------------------------------------------------------
 
 // The canonical encoding of a point of order 8 on edwards25519 (the standard
@@ -365,82 +213,37 @@ std::array<uint8_t, 32> Order8Point() {
   return enc;
 }
 
-// Builds the classic small-order "signature": pk = T (order 8), R = T,
-// S = 0. Its residual [S]B - R - [k]A = -(1 + k mod 8)T is pure torsion, so
-// cofactored verification accepts it for *every* message, while a
-// cofactorless check would accept it only when k mod 8 happens to cancel —
-// exactly the flush-composition-dependent behaviour that must not exist.
-Ed25519BatchItem SmallOrderItem(const Bytes& msg) {
-  Ed25519BatchItem item;
-  item.pk = Order8Point();
-  std::memcpy(item.sig.data(), item.pk.data(), 32);  // R = T, S = 0.
-  item.msg = msg.data();
-  item.len = msg.size();
-  return item;
+// The classic small-order "signature": pk = T (order 8), R = T, S = 0. Its
+// residual [S]B - R - [k]A = -(1 + k mod 8)T is pure torsion, so cofactored
+// verification accepts it for *every* message, while a cofactorless check
+// would accept it only when k mod 8 happens to cancel.
+Ed25519Signature SmallOrderSignature() {
+  Ed25519Signature sig{};
+  std::array<uint8_t, 32> t = Order8Point();
+  std::memcpy(sig.data(), t.data(), 32);  // R = T, S = 0.
+  return sig;
 }
 
 TEST(Ed25519TorsionTest, SmallOrderPointDecodes) {
   EXPECT_TRUE(Ed25519PointOnCurve(Order8Point()));
 }
 
-TEST(Ed25519TorsionTest, SingleAndBatchAgreeAcrossFlushCompositions) {
-  // The same torsion-residual item is presented through every delivery
-  // shape the protocol can produce: standalone single verify, a batch of
-  // one, a clean batch with honest companions, and a batch that bisects
-  // because another item is corrupt. All verdicts must be equal — otherwise
-  // honest validators receiving the item via different routes would reach
-  // different validity verdicts for the same bytes.
-  Bytes msg = {0x42, 0x13, 0x37};
-  Ed25519BatchItem torsion = SmallOrderItem(msg);
-
-  const bool single = Ed25519Verify(torsion.pk, torsion.msg, torsion.len, torsion.sig);
-  EXPECT_TRUE(single);  // Cofactored semantics: torsion residuals clear.
-
-  // Batch of one.
-  std::vector<Ed25519BatchItem> alone = {torsion};
-  EXPECT_EQ(Ed25519BatchVerify(alone)[0], single);
-
-  // Mixed with honest signatures (these must stay valid too).
-  BatchFixture clean(9);
-  std::vector<Ed25519BatchItem> mixed = clean.items;
-  mixed.push_back(torsion);
-  auto ok = Ed25519BatchVerify(mixed);
-  for (size_t i = 0; i < clean.items.size(); ++i) {
-    EXPECT_TRUE(ok[i]) << "honest item " << i;
+TEST(Ed25519TorsionTest, TorsionResidualAcceptedForEveryMessage) {
+  // Sixteen messages give sixteen challenges k spread over the residues mod
+  // 8. A cofactorless check would accept only those with k = 7 mod 8.
+  Ed25519Signature sig = SmallOrderSignature();
+  for (uint8_t i = 0; i < 16; ++i) {
+    Bytes msg = {0x42, 0x13, 0x37, i};
+    EXPECT_TRUE(Ed25519Verify(Order8Point(), msg, sig)) << "message " << int{i};
   }
-  EXPECT_EQ(ok.back(), single);
-
-  // With a corrupted honest item forcing bisection down to leaves.
-  BatchFixture dirty(9);
-  dirty.items[4].sig[50] ^= 0x20;
-  std::vector<Ed25519BatchItem> bisected = dirty.items;
-  bisected.push_back(torsion);
-  ok = Ed25519BatchVerify(bisected);
-  for (size_t i = 0; i < dirty.items.size(); ++i) {
-    EXPECT_EQ(ok[i], i != 4) << "item " << i;
-  }
-  EXPECT_EQ(ok.back(), single);
 }
 
-TEST(Ed25519TorsionTest, NonTorsionResidualStillRejectsEverywhere) {
-  // S = 1 moves the residual off the torsion subgroup ([8]B != identity), so
-  // both paths must reject, in every composition.
+TEST(Ed25519TorsionTest, NonTorsionResidualRejected) {
+  // S = 1 moves the residual off the torsion subgroup ([8]B != identity).
+  Ed25519Signature sig = SmallOrderSignature();
+  sig[32] = 1;  // S = 1.
   Bytes msg = {0x99};
-  Ed25519BatchItem bad = SmallOrderItem(msg);
-  bad.sig[32] = 1;  // S = 1.
-
-  EXPECT_FALSE(Ed25519Verify(bad.pk, bad.msg, bad.len, bad.sig));
-  std::vector<Ed25519BatchItem> alone = {bad};
-  EXPECT_FALSE(Ed25519BatchVerify(alone)[0]);
-
-  BatchFixture clean(7);
-  std::vector<Ed25519BatchItem> mixed = clean.items;
-  mixed.push_back(bad);
-  auto ok = Ed25519BatchVerify(mixed);
-  for (size_t i = 0; i < clean.items.size(); ++i) {
-    EXPECT_TRUE(ok[i]) << "honest item " << i;
-  }
-  EXPECT_FALSE(ok.back());
+  EXPECT_FALSE(Ed25519Verify(Order8Point(), msg, sig));
 }
 
 }  // namespace

@@ -57,65 +57,6 @@ TEST_P(SignerContractTest, DigestSigningOverload) {
   EXPECT_FALSE(signer->Verify(signer->public_key(), other, sig));
 }
 
-TEST_P(SignerContractTest, BatchVerifierMatchesIndividualVerify) {
-  // The batch kernel (true multi-scalar batching for Ed25519, a loop for
-  // FastSigner) must agree bit-for-bit with per-item Verify.
-  auto verifier = MakeSigner(GetParam(), DeriveSeed(11, 0));
-  std::vector<std::unique_ptr<Signer>> signers;
-  for (uint64_t i = 0; i < 8; ++i) {
-    signers.push_back(MakeSigner(GetParam(), DeriveSeed(11, i)));
-  }
-
-  std::vector<PublicKey> pks;
-  std::vector<Bytes> msgs;
-  std::vector<Signature> sigs;
-  BatchVerifier batch(*verifier);
-  for (size_t i = 0; i < 24; ++i) {
-    const Signer& s = *signers[i % signers.size()];
-    Bytes msg(i + 1, static_cast<uint8_t>(i));
-    Signature sig = s.Sign(msg);
-    if (i % 5 == 2) {
-      sig[i % 64] ^= 0x40;  // Corrupt some.
-    }
-    if (i % 7 == 3) {
-      msg.push_back(0);  // Sign/verify mismatch on others.
-    }
-    pks.push_back(s.public_key());
-    msgs.push_back(msg);
-    sigs.push_back(sig);
-    batch.Queue(s.public_key(), msg, sig);
-  }
-  EXPECT_EQ(batch.pending(), 24u);
-
-  std::vector<bool> ok = batch.Flush();
-  ASSERT_EQ(ok.size(), 24u);
-  EXPECT_EQ(batch.pending(), 0u);  // Flush clears the queue.
-  for (size_t i = 0; i < ok.size(); ++i) {
-    EXPECT_EQ(ok[i], verifier->Verify(pks[i], msgs[i], sigs[i])) << "item " << i;
-  }
-
-  // An empty flush is an empty verdict, and FlushAllValid on it holds.
-  EXPECT_TRUE(batch.Flush().empty());
-  EXPECT_TRUE(batch.FlushAllValid());
-}
-
-TEST_P(SignerContractTest, FlushAllValidRequiresEveryItem) {
-  auto signer = MakeSigner(GetParam(), DeriveSeed(12, 0));
-  Bytes msg = {1, 2, 3};
-  Signature good = signer->Sign(msg);
-
-  BatchVerifier batch(*signer);
-  batch.Queue(signer->public_key(), msg, good);
-  batch.Queue(signer->public_key(), msg, good);
-  EXPECT_TRUE(batch.FlushAllValid());
-
-  Signature bad = good;
-  bad[10] ^= 1;
-  batch.Queue(signer->public_key(), msg, good);
-  batch.Queue(signer->public_key(), msg, bad);
-  EXPECT_FALSE(batch.FlushAllValid());
-}
-
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SignerContractTest,
                          ::testing::Values(SignerKind::kEd25519, SignerKind::kFast),
                          [](const ::testing::TestParamInfo<SignerKind>& param_info) {
