@@ -1,7 +1,6 @@
 // Sharded-execution benchmark: isolates the execution stage (ShardedExecutor
-// over a pre-committed header stream) from consensus, and tracks the lane
-// scale-out trajectory in BENCH_exec.json the way BENCH_sim_engine.json
-// tracks the event core.
+// over a pre-committed header stream) from consensus, and prints the lane
+// scale-out trajectory.
 //
 // Scenarios (all over the TransferWorkload accounts/transfer stream):
 //   lanes1            the pre-sharding baseline: one lane, every transfer is
@@ -183,15 +182,10 @@ int main(int argc, char** argv) {
   }
 
   PrintBanner("sharded-execution benchmark");
-  BenchJson json("exec");
   for (const Scenario& sc : kScenarios) {
     ExecResult r = RunScenario(sc, total_txs);
     std::printf("%-16s %12.0f txs/s   %5.1f%% cross   %8llu rejected\n", sc.name, r.txs_per_sec,
                 100.0 * r.cross_fraction, static_cast<unsigned long long>(r.rejected));
-    json.Set(std::string(sc.name) + "_txs_per_sec", r.txs_per_sec);
-    json.Set(std::string(sc.name) + "_cross_fraction", r.cross_fraction);
   }
-  std::string path = json.Write();
-  std::printf("%s\n", path.empty() ? "FAILED to write BENCH_exec.json" : path.c_str());
-  return path.empty() ? 1 : 0;
+  return 0;
 }

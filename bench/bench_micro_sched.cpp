@@ -1,7 +1,5 @@
 // Engine microbenchmark: isolates the discrete-event core (scheduler +
-// network fabric) that every experiment in this reproduction runs on, and
-// tracks its trajectory in BENCH_sim_engine.json the way
-// BENCH_micro_crypto.json tracks the crypto hot path.
+// network fabric) that every experiment in this reproduction runs on.
 //
 // Scenarios:
 //   timer_ring    K self-rescheduling timers (the heartbeat pattern of
@@ -19,11 +17,7 @@
 //                 honest, diluted number).
 //
 // Every scenario reports events- (or sends-) per-second and heap
-// allocations per event via a counting global operator new. The *_before
-// numbers baked in below were measured at the PR base commit (pre fast
-// path: std::function events, unordered_set liveness, std::map machine /
-// FIFO / per-type-string lookups) on the same container class CI uses;
-// tools/run_bench_engine.sh regenerates the JSON.
+// allocations per event via a counting global operator new.
 #include <cstdio>
 #include <cstdlib>
 #include <chrono>
@@ -341,22 +335,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Pre-PR engine baseline (see file header): best-of-3 per scenario, taken
-  // as the best observation across several runs interleaved with the
-  // post-PR binary on the same box (conservative — the highest baseline
-  // reading is the one recorded). Regenerate a post-PR run with
-  // tools/run_bench_engine.sh; these constants only move when the baseline
-  // itself is re-measured.
-  constexpr double kBeforeTimerRingEps = 9242022;
-  constexpr double kBeforeTimerRingAllocsPerEvent = 1.00;
-  constexpr double kBeforeCancelChurnEps = 13557423;
-  constexpr double kBeforeMidsizeEps = 3234351;
-  constexpr double kBeforeMidsizeSendsPerSec = 3235179;
-  constexpr double kBeforeMidsizeAllocsPerEvent = 2.12;
-  constexpr double kBeforeSendEnqueuePerSec = 5676064;
-  constexpr double kBeforeSendEnqueueAllocsPerSend = 2.00;
-  constexpr double kBeforeFullstackEps = 118060;
-
   PrintBanner("simulator-engine microbenchmark");
 
   RingResult ring = BestOf<RingResult>([&] { return TimerRing(4'000'000 / scale); });
@@ -377,26 +355,5 @@ int main(int argc, char** argv) {
   FullResult full = BestOf<FullResult>([&] { return FullStack(); });
   std::printf("fullstack     %12.0f events/s\n", full.events_per_sec);
 
-  BenchJson json("sim_engine");
-  json.Set("timer_ring_events_per_sec", ring.events_per_sec);
-  json.Set("timer_ring_allocs_per_event", ring.allocs_per_event);
-  json.Set("cancel_churn_events_per_sec", churn.events_per_sec);
-  json.Set("midsize_events_per_sec", mesh.events_per_sec);
-  json.Set("midsize_sends_per_sec", mesh.sends_per_sec);
-  json.Set("midsize_allocs_per_event", mesh.allocs_per_event);
-  json.Set("send_enqueue_per_sec", enq.sends_per_sec);
-  json.Set("send_enqueue_allocs_per_send", enq.allocs_per_send);
-  json.Set("fullstack_events_per_sec", full.events_per_sec);
-  json.Set("before_timer_ring_events_per_sec", kBeforeTimerRingEps);
-  json.Set("before_timer_ring_allocs_per_event", kBeforeTimerRingAllocsPerEvent);
-  json.Set("before_cancel_churn_events_per_sec", kBeforeCancelChurnEps);
-  json.Set("before_midsize_events_per_sec", kBeforeMidsizeEps);
-  json.Set("before_midsize_sends_per_sec", kBeforeMidsizeSendsPerSec);
-  json.Set("before_midsize_allocs_per_event", kBeforeMidsizeAllocsPerEvent);
-  json.Set("before_send_enqueue_per_sec", kBeforeSendEnqueuePerSec);
-  json.Set("before_send_enqueue_allocs_per_send", kBeforeSendEnqueueAllocsPerSend);
-  json.Set("before_fullstack_events_per_sec", kBeforeFullstackEps);
-  std::string path = json.Write();
-  std::printf("%s\n", path.empty() ? "FAILED to write BENCH_sim_engine.json" : path.c_str());
   return 0;
 }

@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/common/stats.h"
@@ -48,37 +47,6 @@ inline AveragedResult RunAveraged(ExperimentParams params, int runs) {
 inline void PrintBanner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
-
-// Minimal machine-readable output for benchmark binaries: a flat JSON object
-// of numeric fields, written as BENCH_<name>.json in the working directory so
-// sweeps can be diffed across commits without scraping stdout.
-class BenchJson {
- public:
-  explicit BenchJson(std::string bench_name) : name_(std::move(bench_name)) {}
-
-  void Set(const std::string& key, double value) { fields_.emplace_back(key, value); }
-
-  // Returns the path written, or an empty string on failure.
-  std::string Write() const {
-    std::string path = "BENCH_" + name_ + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      return "";
-    }
-    std::fprintf(f, "{\n");
-    for (size_t i = 0; i < fields_.size(); ++i) {
-      std::fprintf(f, "  \"%s\": %.6g%s\n", fields_[i].first.c_str(), fields_[i].second,
-                   i + 1 < fields_.size() ? "," : "");
-    }
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    return path;
-  }
-
- private:
-  std::string name_;
-  std::vector<std::pair<std::string, double>> fields_;
-};
 
 inline void PrintSweepHeader() {
   std::printf("%-12s %6s %8s %7s %10s | %10s %8s | %9s %8s %9s | %10s %10s %9s | %10s %8s %10s\n",
