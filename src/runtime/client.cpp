@@ -59,53 +59,60 @@ void LoadGenerator::Tick() {
 void LoadGenerator::CheckResubmits(TimePoint now) {
   const Metrics& metrics = cluster_->metrics();
   const uint32_t num_validators = cluster_->config().num_validators;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (metrics.IsSampleCommitted(it->tx_id)) {
-      it = pending_.erase(it);
+  // One compaction pass: entries that stay slide down over the ones that
+  // leave, so the visit and resubmit order is the submission order.
+  size_t kept = 0;
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    PendingTx& tx = pending_[i];
+    if (metrics.IsSampleCommitted(tx.tx_id)) {
       continue;
     }
-    if (it->attempts > options_.max_resubmits) {
-      // The client gives up on this transaction. It was counted as submitted
-      // but will never commit; report it so loss accounting (Fig. 8) sees it
-      // instead of it silently vanishing.
-      ++abandoned_;
-      cluster_->metrics().AddAbandonedTxs(1);
-      NT_TRACE(cluster_->tracer(), OnTxAbandoned(it->tx_id, now));
-      it = pending_.erase(it);
-      continue;
-    }
-    if (now - it->last_attempt >= options_.resubmit_timeout) {
+    if (now - tx.last_attempt >= options_.resubmit_timeout) {
+      if (tx.attempts > options_.max_resubmits) {
+        // The final attempt had its full timeout, so the client gives up on
+        // this transaction. It was counted as submitted but will never
+        // commit; report it so loss accounting (Fig. 8) sees it instead of
+        // it silently vanishing.
+        ++abandoned_;
+        cluster_->metrics().AddAbandonedTxs(1);
+        NT_TRACE(cluster_->tracer(), OnTxAbandoned(tx.tx_id, now));
+        continue;
+      }
       if (options_.failover) {
         // Rotate to the next validator the network still reports alive —
         // failing over onto a crashed entry point would burn a whole
         // resubmit_timeout for nothing. If every other validator is down,
         // stay where we are.
-        ValidatorId next = it->target;
+        ValidatorId next = tx.target;
         for (uint32_t step = 1; step <= num_validators; ++step) {
-          ValidatorId candidate = (it->target + step) % num_validators;
+          ValidatorId candidate = (tx.target + step) % num_validators;
           if (!cluster_->IsValidatorCrashed(candidate)) {
             next = candidate;
             break;
           }
         }
-        it->target = next;
+        tx.target = next;
       }
       // Keep the original submit time: latency is measured from the client's
       // first attempt, as the paper's clients would experience it.
       if (options_.transfer != nullptr) {
-        cluster_->SubmitTxPayload(it->target, worker_, it->payload,
-                                  TxSample{it->tx_id, it->submit_time});
+        cluster_->SubmitTxPayload(tx.target, worker_, tx.payload,
+                                  TxSample{tx.tx_id, tx.submit_time});
       } else {
-        cluster_->SubmitTx(it->target, worker_, options_.tx_size,
-                           TxSample{it->tx_id, it->submit_time});
+        cluster_->SubmitTx(tx.target, worker_, options_.tx_size,
+                           TxSample{tx.tx_id, tx.submit_time});
       }
-      it->last_attempt = now;
-      ++it->attempts;
+      tx.last_attempt = now;
+      ++tx.attempts;
       ++resubmitted_;
-      NT_TRACE(cluster_->tracer(), OnTxResubmit(it->tx_id, it->target, it->attempts, now));
+      NT_TRACE(cluster_->tracer(), OnTxResubmit(tx.tx_id, tx.target, tx.attempts, now));
     }
-    ++it;
+    if (kept != i) {
+      pending_[kept] = std::move(tx);
+    }
+    ++kept;
   }
+  pending_.resize(kept);
 }
 
 }  // namespace nt

@@ -33,7 +33,8 @@ class LoadGenerator {
     // Client re-submission (paper §8.4): if a tracked transaction is not
     // committed within this timeout, submit it again — to the next validator
     // when `failover` is set (covers a crashed or censoring entry point).
-    // 0 disables.
+    // After `max_resubmits` resubmits, the client abandons the transaction
+    // once the last one has also timed out. A timeout of 0 disables this.
     TimeDelta resubmit_timeout = 0;
     bool failover = true;
     uint32_t max_resubmits = 8;
@@ -46,7 +47,8 @@ class LoadGenerator {
 
   uint64_t submitted_txs() const { return submitted_; }
   uint64_t resubmitted_txs() const { return resubmitted_; }
-  // Tracked transactions this client gave up on (max_resubmits exhausted).
+  // Tracked transactions this client gave up on (max_resubmits exhausted and
+  // the last attempt timed out).
   uint64_t abandoned_txs() const { return abandoned_; }
 
  private:

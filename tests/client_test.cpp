@@ -96,6 +96,32 @@ TEST(LoadGeneratorTest, ResubmitsWithFailoverPastCrashedValidator) {
   EXPECT_GT(cluster.metrics().latency_seconds().Mean(), 4.0);
 }
 
+TEST(LoadGeneratorTest, FinalResubmitGetsItsFullTimeout) {
+  // No failover and one resubmit: both attempts go to the crashed entry
+  // validator, so every tracked transaction is abandoned in the end, but
+  // only once the resubmit has had its whole timeout to commit.
+  Cluster cluster(TuskConfig(9));
+  cluster.CrashValidator(1, 0);
+  LoadGenerator::Options options;
+  options.rate_tps = 200;
+  options.sample_rate = 10;
+  options.stop_at = Seconds(3);
+  options.resubmit_timeout = Seconds(1);
+  options.failover = false;
+  options.max_resubmits = 1;
+  LoadGenerator client(&cluster, /*validator=*/1, 0, options);  // Crashed entry.
+  client.Start();
+  cluster.Start();
+
+  // The first transactions resubmit at ~1.01 s; their final attempt times
+  // out at ~2.01 s.
+  cluster.scheduler().RunUntil(Millis(1500));
+  EXPECT_GT(client.resubmitted_txs(), 0u);
+  EXPECT_EQ(client.abandoned_txs(), 0u);
+  cluster.scheduler().RunUntil(Millis(2500));
+  EXPECT_GT(client.abandoned_txs(), 0u);
+}
+
 TEST(DedupTest, WorkerDropsDuplicatePayloads) {
   Cluster cluster(TuskConfig(6));
   cluster.Start();
