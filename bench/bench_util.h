@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "src/common/stats.h"
 #include "src/runtime/experiment.h"

@@ -3,7 +3,8 @@
 // Narwhal certificate arrives via its own broadcast, as a parent inside the
 // next round's headers, and again inside HotStuff proposals — and each
 // delivery used to re-verify 2f+1 signatures. Caching by content digest
-// makes every route after the first free.
+// makes every route after the first free. A Narwhal primary looks in its DAG
+// before verifying, so in a fault-free run its cache sees only misses.
 //
 // Each protocol node (Primary, HotStuff) owns its own instance:
 // the simulator runs every validator in one process, and a shared cache
