@@ -495,10 +495,14 @@ void Primary::HandleHeader(uint32_t from, const MsgHeader& msg) {
     if (parent_authors.size() < committee_.quorum_threshold()) {
       return;
     }
-    // AcceptCertificate skips parents below GC or already in the DAG, so only
-    // new parents pay for signature verification.
+    // AcceptCertificate checks parents already in the DAG against the stored
+    // copy, so only new parents pay for signature verification. Parents below
+    // GC are not stored, but the vote still rests on them: verify those here.
     for (const Certificate& parent : header.parents) {
-      if (!AcceptCertificate(parent, /*request_header_if_missing=*/true)) {
+      bool valid = parent.round < dag_.gc_round()
+                       ? parent.Verify(committee_, *signer_, &cert_cache_)
+                       : AcceptCertificate(parent, /*request_header_if_missing=*/true);
+      if (!valid) {
         return;  // Invalid parent certificate: reject the header.
       }
     }
@@ -627,8 +631,10 @@ bool Primary::AcceptCertificate(const Certificate& cert, bool request_header_if_
     return true;  // Stale but not invalid.
   }
   if (const Certificate* known = dag_.GetCertByDigest(cert.header_digest)) {
-    (void)known;
-    return true;  // Already verified and stored.
+    // Already verified and stored. A header digest fixes its round and
+    // author, so a copy that names others is forged: without this check a
+    // header could list one real parent several times under other authors.
+    return known->round == cert.round && known->author == cert.author;
   }
   if (!cert.Verify(committee_, *signer_, &cert_cache_)) {
     LOG_WARN() << "invalid certificate for round " << cert.round;

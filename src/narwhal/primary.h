@@ -152,7 +152,8 @@ class Primary : public NetNode {
   void HandleVote(const Vote& vote);
   void FormCertificate(Proposal& proposal);
 
-  // Certificate intake (returns true if the certificate is new and valid).
+  // Certificate intake. Returns false for an invalid certificate, and for a
+  // copy of a stored one that names another round or author.
   bool AcceptCertificate(const Certificate& cert, bool request_header_if_missing);
 
   // Pull synchronizer for missing headers.

@@ -47,6 +47,10 @@ class EquivocatingPrimary : public NetNode {
 
   uint64_t certs_formed() const { return certs_formed_; }
   bool equivocated() const { return equivocated_; }
+  size_t votes_for(const Digest& digest) const {
+    auto it = votes_.find(digest);
+    return it == votes_.end() ? 0 : it->second.size();
+  }
 
  private:
   std::shared_ptr<BlockHeader> MakeHeader(Round round, std::vector<Certificate> parents) {
@@ -321,6 +325,77 @@ TEST(ByzantineTest, ForgedCertificateRejected) {
                         std::make_shared<MsgCertificate>(forged));
   fixture.scheduler.RunUntil(fixture.scheduler.now() + Seconds(2));
   EXPECT_EQ(fixture.honest[0]->dag().GetCertByDigest(forged.header_digest), nullptr);
+}
+
+// A header signed by the attacker, sent to every honest primary.
+Digest SendByzHeader(ByzFixture& fixture, Round round, std::vector<Certificate> parents) {
+  auto header = std::make_shared<BlockHeader>();
+  header->author = kByz;
+  header->round = round;
+  header->parents = std::move(parents);
+  Digest digest = header->ComputeDigest();
+  header->author_sig = fixture.signers[kByz]->Sign(digest);
+  for (ValidatorId v = 0; v < kN - 1; ++v) {
+    fixture.network->Send(fixture.topology.primary_of[kByz], fixture.topology.primary_of[v],
+                          std::make_shared<MsgHeader>(header, digest));
+  }
+  return digest;
+}
+
+// A header whose parents are one real certificate listed 2f+1 times under
+// different authors has one parent, not a quorum. Sends the attacker's header
+// with those copies, then a header of the same round with the genuine
+// parents, and returns the honest votes each one got. With
+// `parents_below_gc`, every honest GC horizon first moves to the header's
+// round, so the parents are no longer in any DAG and only their signatures
+// can expose the copies.
+std::pair<size_t, size_t> RelabelledParentAttack(bool parents_below_gc) {
+  ByzFixture fixture;
+  fixture.Run(Seconds(5));
+  // Two rounds below the slowest honest primary, every honest DAG holds the
+  // parents. The attacker itself only proposes in rounds 1 and 2.
+  Round slowest = fixture.honest[0]->round();
+  for (const auto& primary : fixture.honest) {
+    slowest = std::min(slowest, primary->round());
+  }
+  Round parent_round = slowest >= 4 ? slowest - 2 : 2;
+  std::vector<Certificate> genuine;
+  std::vector<Certificate> relabelled;
+  for (ValidatorId a = 0; a < kN - 1; ++a) {
+    const Certificate* cert = fixture.honest[0]->dag().GetCert(parent_round, a);
+    if (cert == nullptr) {
+      ADD_FAILURE() << "no round-" << parent_round << " certificate of validator " << a;
+      return {0, 0};
+    }
+    genuine.push_back(*cert);
+    relabelled.push_back(genuine.front());
+    relabelled.back().author = a;
+  }
+  if (parents_below_gc) {
+    for (const auto& primary : fixture.honest) {
+      primary->SetGcRound(parent_round + 1);
+    }
+  }
+  Digest forged = SendByzHeader(fixture, parent_round + 1, relabelled);
+  fixture.scheduler.RunUntil(fixture.scheduler.now() + Seconds(2));
+  Digest control = SendByzHeader(fixture, parent_round + 1, genuine);
+  fixture.scheduler.RunUntil(fixture.scheduler.now() + Seconds(2));
+  return {fixture.byz->votes_for(forged), fixture.byz->votes_for(control)};
+}
+
+// Every copy names a digest already in the honest DAGs, but not the author
+// stored with it: no honest vote. The genuine header of the same round still
+// gets all three, so the rejection did not burn the (author, round) vote.
+TEST(ByzantineTest, RelabelledParentCopiesGetNoVote) {
+  auto [forged_votes, control_votes] = RelabelledParentAttack(/*parents_below_gc=*/false);
+  EXPECT_EQ(forged_votes, 0u);
+  EXPECT_EQ(control_votes, kN - 1);
+}
+
+TEST(ByzantineTest, RelabelledParentCopiesBelowGcGetNoVote) {
+  auto [forged_votes, control_votes] = RelabelledParentAttack(/*parents_below_gc=*/true);
+  EXPECT_EQ(forged_votes, 0u);
+  EXPECT_EQ(control_votes, kN - 1);
 }
 
 // A schedule that marks one validator as an equivocator through the DST
