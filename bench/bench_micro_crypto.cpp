@@ -2,23 +2,15 @@
 // Ed25519, the FastSigner used in protocol simulations, and the coin. These
 // are the §6 "implementation" costs — the data-path rates that inform the
 // simulator's processing model.
-//
-// After the google-benchmark suite, main() prints the verified-certificate
-// cache hit rate under repeated deliveries.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <memory>
-#include <vector>
 
-#include "bench/bench_util.h"
 #include "src/crypto/coin.h"
 #include "src/crypto/ed25519.h"
 #include "src/crypto/hash.h"
 #include "src/crypto/sha256_blocks.h"
 #include "src/crypto/signer.h"
-#include "src/types/cert_cache.h"
-#include "src/types/types.h"
 
 namespace nt {
 namespace {
@@ -122,50 +114,6 @@ void BM_CommonCoin(benchmark::State& state) {
 }
 BENCHMARK(BM_CommonCoin);
 
-// Hit rate of the verified-certificate cache when each certificate is
-// presented `deliveries` times — the re-delivery pattern certificates see in
-// the protocol (own broadcast, parent references, consensus proposals).
-double MeasureCertCacheHitRate(size_t num_certs, int deliveries) {
-  constexpr uint32_t kN = 4;
-  std::vector<std::unique_ptr<Signer>> signers;
-  std::vector<ValidatorInfo> infos;
-  for (uint32_t v = 0; v < kN; ++v) {
-    signers.push_back(MakeSigner(SignerKind::kFast, DeriveSeed(7777, v)));
-    infos.push_back(ValidatorInfo{signers.back()->public_key(), 0});
-  }
-  Committee committee(std::move(infos));
-
-  std::vector<Certificate> certs;
-  for (size_t i = 0; i < num_certs; ++i) {
-    Certificate cert;
-    cert.header_digest = Sha256::Hash("bench-cert-" + std::to_string(i));
-    cert.round = 1;
-    cert.author = static_cast<ValidatorId>(i % kN);
-    Bytes preimage = Certificate::VotePreimage(cert.header_digest, cert.round, cert.author);
-    for (uint32_t v = 0; v < committee.quorum_threshold(); ++v) {
-      cert.votes.emplace_back(v, signers[v]->Sign(preimage));
-    }
-    certs.push_back(std::move(cert));
-  }
-
-  VerifiedCertCache::Narwhal().Clear();
-  for (int d = 0; d < deliveries; ++d) {
-    for (const Certificate& cert : certs) {
-      cert.Verify(committee, *signers[0]);
-    }
-  }
-  VerifiedCertCache::Stats stats = VerifiedCertCache::Narwhal().stats();
-  VerifiedCertCache::Narwhal().Clear();
-  uint64_t total = stats.hits + stats.misses;
-  return total == 0 ? 0.0 : static_cast<double>(stats.hits) / static_cast<double>(total);
-}
-
-void RunCertCacheReport() {
-  PrintBanner("Verified-certificate cache");
-  double hit_rate = MeasureCertCacheHitRate(/*num_certs=*/256, /*deliveries=*/4);
-  std::printf("hit rate over 4 deliveries per certificate: %.3f\n", hit_rate);
-}
-
 }  // namespace
 }  // namespace nt
 
@@ -176,6 +124,5 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  nt::RunCertCacheReport();
   return 0;
 }
