@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -25,6 +26,22 @@ namespace nt {
 // A 32-byte content digest (SHA-256 output). Used as the identifier of
 // batches, headers, and certificates throughout the protocol stack.
 using Digest = std::array<uint8_t, 32>;
+
+// Hash of a digest for unordered containers: the XOR of its four 64-bit
+// words, with no further mixing. That spreads keys well only when they are
+// real SHA-256 outputs. Not every key is: a digest a peer names without the
+// content (a batch reference in a header, the digest a worker stores a
+// peer's batch under) can be chosen to share a bucket with others, which
+// slows lookups in that container but changes no result. Containers keyed
+// this way iterate in an order that must never reach a message, a store
+// write, a hash or a log line (ntlint R2).
+struct DigestHash {
+  size_t operator()(const Digest& d) const noexcept {
+    uint64_t w[4];
+    std::memcpy(w, d.data(), sizeof(w));
+    return static_cast<size_t>(w[0] ^ w[1] ^ w[2] ^ w[3]);
+  }
+};
 
 std::string DigestHex(const Digest& d);
 // First 8 hex chars — for logs.

@@ -39,10 +39,12 @@ void CommitLog::Recover() {
       Insert(digest, round);
     }
   });
-  for (const Digest& digest : delivered_) {
-    auto header = primary_->dag().GetHeader(digest);
-    if (header != nullptr) {
-      primary_->NotifyCommitted(digest, *header);
+  for (const auto& [round, digests] : delivered_by_round_) {
+    for (const Digest& digest : digests) {
+      auto header = primary_->dag().GetHeader(digest);
+      if (header != nullptr) {
+        primary_->NotifyCommitted(digest, *header);
+      }
     }
   }
 }

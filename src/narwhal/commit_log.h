@@ -14,7 +14,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "src/narwhal/primary.h"
@@ -54,7 +54,7 @@ class CommitLog {
   void Prune(Round gc_round);
 
   bool IsDelivered(const Digest& digest) const { return delivered_.count(digest) != 0; }
-  const std::set<Digest>& delivered() const { return delivered_; }
+  const std::unordered_set<Digest, DigestHash>& delivered() const { return delivered_; }
   uint64_t delivered_count() const { return delivered_count_; }
 
  private:
@@ -62,7 +62,8 @@ class CommitLog {
 
   Primary* primary_;
   Store* store_ = nullptr;
-  std::set<Digest> delivered_;
+  // Membership only; delivered_by_round_ holds the same digests in order.
+  std::unordered_set<Digest, DigestHash> delivered_;
   std::map<Round, std::vector<Digest>> delivered_by_round_;
   uint64_t delivered_count_ = 0;
   std::vector<Hook> hooks_;

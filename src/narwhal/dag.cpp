@@ -91,7 +91,7 @@ bool Dag::HasPath(const Digest& from, const Digest& to) const {
   const Round target_round = target->second.first;
 
   std::deque<Digest> frontier{from};
-  std::set<Digest> visited{from};
+  std::unordered_set<Digest, DigestHash> visited{from};
   while (!frontier.empty()) {
     Digest current = frontier.front();
     frontier.pop_front();
@@ -114,8 +114,8 @@ bool Dag::HasPath(const Digest& from, const Digest& to) const {
   return false;
 }
 
-Dag::History Dag::CollectCausalHistory(const Digest& anchor,
-                                       const std::set<Digest>& committed) const {
+Dag::History Dag::CollectCausalHistory(
+    const Digest& anchor, const std::unordered_set<Digest, DigestHash>& committed) const {
   History result;
   if (committed.count(anchor) != 0) {
     return result;
@@ -129,7 +129,7 @@ Dag::History Dag::CollectCausalHistory(const Digest& anchor,
   };
   std::vector<Entry> gathered;
   std::deque<Digest> frontier{anchor};
-  std::set<Digest> visited{anchor};
+  std::unordered_set<Digest, DigestHash> visited{anchor};
   while (!frontier.empty()) {
     Digest current = frontier.front();
     frontier.pop_front();

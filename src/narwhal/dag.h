@@ -8,7 +8,8 @@
 
 #include <map>
 #include <memory>
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/types/types.h"
@@ -64,21 +65,27 @@ class Dag {
   // Collects the anchor's causal history down to the GC round, excluding
   // digests in `committed`. If any header on the way is missing, `missing`
   // is non-empty and `ordered` must not be committed yet.
-  History CollectCausalHistory(const Digest& anchor, const std::set<Digest>& committed) const;
+  History CollectCausalHistory(const Digest& anchor,
+                               const std::unordered_set<Digest, DigestHash>& committed) const;
 
   size_t TotalCertificates() const { return by_digest_.size(); }
   size_t TotalHeaders() const { return headers_.size(); }
 
-  // Read-only view of all stored headers (mempool facade, metrics).
-  const std::map<Digest, std::shared_ptr<const BlockHeader>>& headers() const { return headers_; }
+  // Read-only view of all stored headers, in no particular order: walk
+  // CertsAt(round) where order matters.
+  const std::unordered_map<Digest, std::shared_ptr<const BlockHeader>, DigestHash>& headers()
+      const {
+    return headers_;
+  }
 
  private:
   Round gc_round_ = 0;
   // round -> author -> certificate.
   std::map<Round, std::map<ValidatorId, Certificate>> by_round_;
-  // header digest -> (round, author), for digest lookups.
-  std::map<Digest, std::pair<Round, ValidatorId>> by_digest_;
-  std::map<Digest, std::shared_ptr<const BlockHeader>> headers_;
+  // header digest -> (round, author), for digest lookups. Both digest
+  // indices are lookup-only; by_round_ carries every ordered walk.
+  std::unordered_map<Digest, std::pair<Round, ValidatorId>, DigestHash> by_digest_;
+  std::unordered_map<Digest, std::shared_ptr<const BlockHeader>, DigestHash> headers_;
 };
 
 }  // namespace nt

@@ -5,13 +5,18 @@ namespace nt {
 Digest Mempool::Write(std::vector<Bytes> txs) { return worker_->SubmitBlock(std::move(txs)); }
 
 std::optional<Certificate> Mempool::CertificateFor(const Digest& batch_digest) const {
+  // Certified headers in (round, author) order, so a batch that more than
+  // one header carries always maps to the same certificate.
   const Dag& dag = primary_->dag();
-  for (const auto& [header_digest, header] : dag.headers()) {
-    for (const BatchRef& ref : header->batches) {
-      if (ref.digest == batch_digest) {
-        const Certificate* cert = dag.GetCertByDigest(header_digest);
-        if (cert != nullptr) {
-          return *cert;
+  for (Round round = dag.gc_round(); round <= dag.HighestRound(); ++round) {
+    for (const auto& [author, cert] : dag.CertsAt(round)) {
+      auto header = dag.GetHeader(cert.header_digest);
+      if (header == nullptr) {
+        continue;
+      }
+      for (const BatchRef& ref : header->batches) {
+        if (ref.digest == batch_digest) {
+          return cert;
         }
       }
     }

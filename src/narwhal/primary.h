@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "src/narwhal/config.h"
@@ -186,9 +187,9 @@ class Primary : public NetNode {
   // Quorum-acked own batches awaiting inclusion.
   std::deque<BatchRef> pending_batches_;
   // Digests already assigned to a header (avoid double inclusion).
-  std::set<Digest> included_batches_;
+  std::unordered_set<Digest, DigestHash> included_batches_;
   // Batches our own workers report stored (any author).
-  std::set<Digest> stored_batches_;
+  std::unordered_set<Digest, DigestHash> stored_batches_;
 
   // Outstanding own proposals: header digest -> votes.
   std::map<Digest, Proposal> proposals_;
@@ -206,7 +207,7 @@ class Primary : public NetNode {
 
   // Own headers' batch refs, for re-injection: header digest -> refs.
   std::map<Digest, std::vector<BatchRef>> own_headers_;
-  std::set<Digest> committed_batches_;
+  std::unordered_set<Digest, DigestHash> committed_batches_;
 
   std::vector<std::function<void(const Certificate&)>> on_certificate_hooks_;
   std::vector<std::function<void(const Digest&)>> on_header_stored_hooks_;

@@ -11,6 +11,8 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/common/trace.h"
@@ -66,7 +68,7 @@ class BatchDirectory {
   size_t size() const { return map_.size(); }
 
  private:
-  std::map<Digest, Info> map_;
+  std::unordered_map<Digest, Info, DigestHash> map_;
 };
 
 class Worker : public NetNode {
@@ -147,16 +149,16 @@ class Worker : public NetNode {
     Scheduler::TimerId retry_timer = Scheduler::kInvalidTimer;
     uint32_t attempts = 0;  // Re-transmissions back off exponentially.
   };
-  std::map<Digest, InFlight> in_flight_;
+  std::unordered_map<Digest, InFlight, DigestHash> in_flight_;
 
   // Batch contents kept in memory for serving pull requests.
-  std::map<Digest, std::shared_ptr<const Batch>> batches_;
+  std::unordered_map<Digest, std::shared_ptr<const Batch>, DigestHash> batches_;
 
   // Outstanding pull requests issued on behalf of the primary.
-  std::set<Digest> fetching_;
+  std::unordered_set<Digest, DigestHash> fetching_;
 
   // Sliding-window duplicate filter over explicit transaction payloads.
-  std::set<Digest> seen_txs_;
+  std::unordered_set<Digest, DigestHash> seen_txs_;
   std::deque<Digest> seen_order_;
 
   uint64_t batches_sealed_ = 0;

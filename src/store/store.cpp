@@ -1,6 +1,8 @@
 #include "src/store/store.h"
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 // WalStore is the real-disk durability surface; the fsync/truncate syscalls
 // below are what the simulated Store contract is modeling. Protocol code
@@ -61,8 +63,16 @@ bool MemStore::Contains(const Digest& key) const { return map_.count(key) != 0; 
 bool MemStore::Erase(const Digest& key) { return map_.erase(key) != 0; }
 
 void MemStore::ForEach(const std::function<void(const Digest&, const Bytes&)>& fn) const {
-  for (const auto& [key, value] : map_) {
-    fn(key, value);
+  std::vector<const std::pair<const Digest, Bytes>*> records;
+  records.reserve(map_.size());
+  // ntlint:allow(unordered-iter): gathers a snapshot that is sorted by key before any record is visited
+  for (const auto& record : map_) {
+    records.push_back(&record);
+  }
+  std::sort(records.begin(), records.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  for (const auto* record : records) {
+    fn(record->first, record->second);
   }
 }
 

@@ -2,7 +2,7 @@
 // artifact (§6: "Data-structures are persisted using RocksDB").
 //
 // Two implementations:
-//  - MemStore: plain in-memory map (used by most simulations).
+//  - MemStore: in-memory hash index (used by most simulations).
 //  - WalStore: in-memory index backed by an append-only write-ahead log on
 //    disk with CRC-protected records and recovery, for durability tests and
 //    the storage micro-benchmarks.
@@ -19,10 +19,10 @@
 
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "src/common/bytes.h"
 #include "src/crypto/hash.h"
@@ -47,8 +47,9 @@ class Store {
 
   virtual size_t size() const = 0;
 
-  // Visits every live record in key order (deterministic: both stores index
-  // with an ordered map). Recovery scans are built on this.
+  // Visits every live record in ascending key order (byte-wise), so every
+  // recovery scan sees the same sequence on every host. Both stores keep a
+  // hash index and visit a key-sorted snapshot of it.
   virtual void ForEach(const std::function<void(const Digest&, const Bytes&)>& fn) const = 0;
 
   // Durability barrier: after Sync() returns, every preceding Put/Erase
@@ -72,9 +73,9 @@ class MemStore : public Store {
   void ForEach(const std::function<void(const Digest&, const Bytes&)>& fn) const override;
 
  private:
-  // Ordered so that any future iteration (dumps, state sync, WAL compaction)
-  // is deterministic by construction rather than hash-seed dependent.
-  std::map<Digest, Bytes> map_;
+  // Hashed for the Put/Get/Erase path. Bucket order never escapes: ForEach
+  // sorts the keys first.
+  std::unordered_map<Digest, Bytes, DigestHash> map_;
 };
 
 // Append-only WAL-backed store. Every mutation is written as a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string_view>
+#include <unordered_set>
 
 namespace nt {
 
@@ -138,7 +139,7 @@ bool WaveCommitter::CommitChain(uint64_t wave, const Certificate& anchor) {
 
   // First pass: linearize every anchor's history against what the earlier
   // anchors of the chain will already have delivered.
-  std::set<Digest> virtual_committed = log_.delivered();
+  std::unordered_set<Digest, DigestHash> virtual_committed = log_.delivered();
   std::vector<std::pair<const Certificate*, Dag::History>> histories;
   for (const Certificate* link : chain) {
     Dag::History history = dag.CollectCausalHistory(link->header_digest, virtual_committed);

@@ -119,7 +119,7 @@ TEST(DagTest, CausalHistoryExcludesCommitted) {
   auto m = b.Add(dag, 1, 0, {a});
   auto top = b.Add(dag, 2, 0, {m});
 
-  std::set<Digest> committed = {a.digest, m.digest};
+  std::unordered_set<Digest, DigestHash> committed = {a.digest, m.digest};
   Dag::History history = dag.CollectCausalHistory(top.digest, committed);
   ASSERT_EQ(history.ordered.size(), 1u);
   EXPECT_EQ(history.ordered[0], top.digest);
@@ -127,6 +127,74 @@ TEST(DagTest, CausalHistoryExcludesCommitted) {
   // A fully-committed anchor yields nothing.
   committed.insert(top.digest);
   EXPECT_TRUE(dag.CollectCausalHistory(top.digest, committed).ordered.empty());
+}
+
+// Adds a vertex under a chosen digest, so tests can pick digests that sit
+// close together or collide in DigestHash.
+Certificate AddAs(Dag& dag, const Digest& digest, Round round, ValidatorId author,
+                  const std::vector<Certificate>& parents) {
+  auto header = std::make_shared<BlockHeader>();
+  header->author = author;
+  header->round = round;
+  header->parents = parents;
+  Certificate cert;
+  cert.header_digest = digest;
+  cert.round = round;
+  cert.author = author;
+  EXPECT_TRUE(dag.AddCertificate(cert));
+  dag.AddHeader(header, digest);
+  return cert;
+}
+
+TEST(DagTest, DigestsDifferingOnlyInTheLastByteStayDistinct) {
+  auto last_byte = [](uint8_t b) {
+    Digest d = Sha256::Hash("last-byte");
+    d[31] = b;
+    return d;
+  };
+  // Same DigestHash as last_byte(0): bytes 0 and 8 flip the same bit of the
+  // first two 64-bit words, which cancels in their XOR.
+  Digest twin = last_byte(0);
+  twin[0] ^= 0x01;
+  twin[8] ^= 0x01;
+  ASSERT_EQ(DigestHash{}(twin), DigestHash{}(last_byte(0)));
+  ASSERT_NE(DigestHash{}(last_byte(1)), DigestHash{}(last_byte(0)));
+
+  Dag dag;
+  Certificate a0 = AddAs(dag, last_byte(0), 1, 0, {});
+  Certificate a1 = AddAs(dag, last_byte(1), 1, 1, {});
+  Certificate a2 = AddAs(dag, last_byte(2), 1, 2, {});
+  Certificate a3 = AddAs(dag, twin, 1, 3, {});
+  Certificate mid = AddAs(dag, last_byte(3), 2, 0, {a0, a3});
+  Certificate top = AddAs(dag, last_byte(4), 3, 0, {mid});
+
+  EXPECT_EQ(dag.TotalCertificates(), 6u);
+  EXPECT_EQ(dag.TotalHeaders(), 6u);
+  for (const Certificate* c : {&a0, &a1, &a2, &a3, &mid, &top}) {
+    ASSERT_NE(dag.GetCertByDigest(c->header_digest), nullptr);
+    EXPECT_EQ(dag.GetCertByDigest(c->header_digest)->author, c->author);
+    EXPECT_EQ(dag.GetCertByDigest(c->header_digest)->round, c->round);
+    ASSERT_NE(dag.GetHeader(c->header_digest), nullptr);
+    EXPECT_EQ(dag.GetHeader(c->header_digest)->author, c->author);
+  }
+  EXPECT_EQ(dag.GetCertByDigest(last_byte(5)), nullptr);
+  EXPECT_FALSE(dag.HasHeader(last_byte(5)));
+
+  EXPECT_TRUE(dag.HasPath(top.header_digest, a0.header_digest));
+  EXPECT_TRUE(dag.HasPath(top.header_digest, a3.header_digest));
+  EXPECT_FALSE(dag.HasPath(top.header_digest, a1.header_digest));
+  EXPECT_FALSE(dag.HasPath(top.header_digest, a2.header_digest));
+
+  Dag::History history = dag.CollectCausalHistory(top.header_digest, {});
+  ASSERT_TRUE(history.missing.empty());
+  EXPECT_EQ(history.ordered, (std::vector<Digest>{a0.header_digest, a3.header_digest,
+                                                  mid.header_digest, top.header_digest}));
+  history = dag.CollectCausalHistory(top.header_digest, {a0.header_digest});
+  EXPECT_EQ(history.ordered,
+            (std::vector<Digest>{a3.header_digest, mid.header_digest, top.header_digest}));
+  history = dag.CollectCausalHistory(top.header_digest, {a3.header_digest});
+  EXPECT_EQ(history.ordered,
+            (std::vector<Digest>{a0.header_digest, mid.header_digest, top.header_digest}));
 }
 
 TEST(DagTest, CausalHistoryReportsMissingHeaders) {

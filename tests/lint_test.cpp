@@ -184,6 +184,32 @@ void Pool::Dump(Sha256& h) {
   EXPECT_EQ(CountRule(r, kRuleUnorderedIter), 1);
 }
 
+TEST(UnorderedIterRule, DigestHashedMemberInCompanionHeaderIsSeen) {
+  // The digest-keyed lookup sets are spelled out, hasher included, so their
+  // declarations stay visible to the rule from the .cpp that iterates them.
+  const std::string header = R"(
+class CommitLog {
+  std::unordered_set<Digest, DigestHash> delivered_;
+};
+)";
+  FileReport r = LintSourceWithCompanion("src/narwhal/commit_log.cpp", R"(
+size_t CommitLog::ZeroLed() const {
+  size_t n = 0;
+  for (const Digest& digest : delivered_) {
+    n += digest[0] == 0 ? 1 : 0;
+  }
+  return n;
+}
+void CommitLog::Dump(Writer& w) {
+  for (const Digest& digest : delivered_) {
+    w.PutRaw(digest);
+  }
+}
+)",
+                                         &header);
+  EXPECT_EQ(CountRule(r, kRuleUnorderedIter), 1);
+}
+
 TEST(UnorderedIterRule, PureReadBodyIsSilent) {
   FileReport r = LintSource("src/narwhal/dag.cpp", R"(
 std::unordered_map<uint32_t, uint64_t> weights_;

@@ -6,8 +6,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <random>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace nt {
 namespace {
@@ -52,6 +57,78 @@ TEST(MemStoreTest, EmptyValueIsStored) {
   store.Put(Key(5), {});
   EXPECT_TRUE(store.Contains(Key(5)));
   EXPECT_TRUE(store.Get(Key(5))->empty());
+}
+
+// Keys that differ only in their first byte or only in their last byte,
+// including values on both sides of 0x80 (bytes compare unsigned).
+std::vector<Digest> EdgeKeys() {
+  std::vector<Digest> keys;
+  for (uint8_t b : {0x00, 0x01, 0x7f, 0x80, 0xfe, 0xff}) {
+    Digest first;
+    first.fill(0x5a);
+    first[0] = b;
+    keys.push_back(first);
+    Digest last;
+    last.fill(0x5a);
+    last[31] = b;
+    keys.push_back(last);
+  }
+  for (int i = 0; i < 64; ++i) {
+    keys.push_back(Sha256::Hash(std::to_string(i)));
+  }
+  return keys;
+}
+
+// Inserts every key in shuffled order, erases a shuffled half, overwrites a
+// few, and returns the keys that must remain.
+std::set<Digest> ShuffledMutations(Store& store) {
+  std::vector<Digest> keys = EdgeKeys();
+  std::mt19937 rng(19);
+  std::shuffle(keys.begin(), keys.end(), rng);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    store.Put(keys[i], {static_cast<uint8_t>(i)});
+  }
+  std::shuffle(keys.begin(), keys.end(), rng);
+  std::set<Digest> live(keys.begin(), keys.end());
+  for (size_t i = 0; i < keys.size() / 2; ++i) {
+    EXPECT_TRUE(store.Erase(keys[i]));
+    live.erase(keys[i]);
+  }
+  for (size_t i = keys.size() / 2; i < keys.size(); i += 3) {
+    store.Put(keys[i], {0xee});
+  }
+  return live;
+}
+
+// ForEach must visit exactly `live`, in ascending byte order.
+void ExpectKeyOrder(const Store& store, const std::set<Digest>& live) {
+  std::vector<Digest> visited;
+  store.ForEach([&](const Digest& key, const Bytes&) { visited.push_back(key); });
+  EXPECT_EQ(visited, std::vector<Digest>(live.begin(), live.end()));
+  for (size_t i = 1; i < visited.size(); ++i) {
+    EXPECT_LT(std::memcmp(visited[i - 1].data(), visited[i].data(), visited[i].size()), 0);
+  }
+}
+
+TEST(MemStoreTest, ForEachVisitsKeysInByteOrder) {
+  MemStore store;
+  std::set<Digest> live = ShuffledMutations(store);
+  ASSERT_EQ(store.size(), live.size());
+  ExpectKeyOrder(store, live);
+}
+
+TEST_F(WalStoreTest, ForEachVisitsKeysInByteOrderBeforeAndAfterReplay) {
+  std::set<Digest> live;
+  {
+    auto store = WalStore::Open(path_);
+    ASSERT_NE(store, nullptr);
+    live = ShuffledMutations(*store);
+    ExpectKeyOrder(*store, live);
+  }
+  auto reopened = WalStore::Open(path_);
+  ASSERT_NE(reopened, nullptr);
+  ASSERT_EQ(reopened->size(), live.size());
+  ExpectKeyOrder(*reopened, live);
 }
 
 TEST_F(WalStoreTest, PersistsAcrossReopen) {
